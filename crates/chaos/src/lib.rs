@@ -20,11 +20,6 @@
 //!   still reproduces the *same* failure signature.
 //! - [`run_soak`] — the generate→run→check→shrink loop behind the
 //!   `utility_risk chaos` CLI and the CI chaos leg.
-//! - [`WorkerKillPlan`] — a seed-deterministic worker-kill drill for the
-//!   multi-process grid supervisor (`CCS_KILL_WORKER`).
-//! - [`FlakyTransport`] — a seed-pure network fault plan for the grid
-//!   transport (`CCS_FLAKY_TRANSPORT`): injected drops, delays,
-//!   truncated/duplicated frames, and mid-frame disconnects.
 //!
 //! Everything is deterministic: a soak is a pure function of its seed,
 //! round count, and budget, so a CI failure replays exactly on a laptop.
@@ -34,16 +29,10 @@
 
 pub mod case;
 pub mod fixtures;
-pub mod flaky;
-pub mod killplan;
 pub mod shrink;
 pub mod soak;
 
 pub use case::{CaseOutcome, ChaosCase, Stressor};
 pub use fixtures::{BrokenPolicyKind, BrownoutPolicy, StuckPolicy};
-pub use flaky::{
-    ConnectionFlakes, FlakeAction, FlakyReader, FlakyTransport, FlakyWriter, FLAKY_TRANSPORT_ENV,
-};
-pub use killplan::{WorkerKillPlan, KILL_WORKER_ENV};
 pub use shrink::{shrink, Shrunk};
 pub use soak::{round_seed, run_soak, SoakConfig, SoakFinding, SoakReport};

@@ -24,10 +24,8 @@
 //! takes `--econ commodity|bid`, `--set A|B`, `--scenario IDX`,
 //! `--value IDX`, `--policy NAME`. Grid subcommands take the crash-safety
 //! flags `--resume JOURNAL`, `--cell-budget N`, `--cell-wall-budget SECS`,
-//! `--cell-event-budget N`, `--compact-journal`, plus the multi-process
-//! supervisor flags `--workers N`, `--retries N`, `--backoff-ms MS`,
-//! `--heartbeat-ms MS` (the latter three require `--workers`; results are
-//! byte-identical to a single-process run). `chaos` takes `--rounds N`,
+//! `--cell-event-budget N`, `--compact-journal`. Every grid runs on one
+//! in-process pool of `--threads T` threads. `chaos` takes `--rounds N`,
 //! `--budget SECS`, `--max-events N` (per-replay watchdog budget). `query`
 //! reads the `results_store.json` a grid run wrote (no simulation, no
 //! JSONL) and takes `--store FILE`, the filters `--source grid|chaos`,
@@ -48,12 +46,28 @@ use ccs_experiments::store::{SOURCE_CHAOS, SOURCE_GRID};
 use ccs_experiments::{
     build_figure, parse_cli_checked, progress, replicate, run_all_ablations, run_evaluation_ctl,
     tables, telemetry_report, trace_report, write_atomic, CellError, EstimateSet, GridControl,
-    Journal, Query, RawGrid, ResultStore, SupervisorConfig, TelemetryReport, TraceCellSpec,
-    STORE_FILE,
+    Journal, Query, RawGrid, ResultStore, TelemetryReport, TraceCellSpec, STORE_FILE,
 };
 use ccs_risk::Objective;
 use ccs_simsvc::RunBudget;
 use ccs_workload::{apply_scenario, WorkloadSummary};
+
+/// Every subcommand `main` dispatches on; anything else prints usage and
+/// exits 2 before a flag is parsed.
+const SUBCOMMANDS: [&str; 12] = [
+    "tables",
+    "figure",
+    "all",
+    "ablations",
+    "robustness",
+    "summary",
+    "dominance",
+    "workload",
+    "trace",
+    "chaos",
+    "query",
+    "perf",
+];
 
 fn usage() -> ! {
     eprintln!(
@@ -61,9 +75,6 @@ fn usage() -> ! {
          [--quick] [--quiet] [--jobs N] [--seed S] [--threads T] [--replicas R] [--out DIR] [--telemetry FILE]\n\
          grid subcommands (all/summary/dominance) also take: [--resume JOURNAL] [--cell-budget N] \
          [--cell-wall-budget SECS] [--cell-event-budget N] [--compact-journal]\n\
-         multi-process grid: [--workers N] [--remote HOST:PORT,…] [--retries N] [--backoff-ms MS] \
-         [--heartbeat-ms MS] [--connect-timeout-ms MS]\n\
-         serve-worker takes: --listen HOST:PORT (a remote TCP worker agent for --remote)\n\
          trace also takes: [--econ commodity|bid] [--set A|B] [--scenario IDX] [--value IDX] [--policy NAME]\n\
          chaos also takes: [--rounds N] [--budget SECS] [--max-events N]\n\
          query takes: [--store FILE] [--source grid|chaos] [--econ commodity|bid] [--set A|B] \
@@ -77,90 +88,14 @@ fn usage() -> ! {
 
 /// Strips the crash-safety flags (`--resume FILE`, `--cell-budget N`,
 /// `--cell-wall-budget SECS`, `--cell-event-budget N`, `--compact-journal`)
-/// and the multi-process supervisor flags (`--workers N`,
-/// `--remote HOST:PORT,…`, `--retries N`, `--backoff-ms MS`,
-/// `--heartbeat-ms MS`, `--connect-timeout-ms MS`) from the argument list
-/// before the shared parser sees them. Returns the grid control plus
-/// whether the journal should be compacted afterwards.
+/// from the argument list before the shared parser sees them. Returns the
+/// grid control plus whether the journal should be compacted afterwards.
 fn parse_grid_control(args: &mut Vec<String>) -> Result<(GridControl, bool), String> {
     let mut ctl = GridControl::default();
     let mut compact = false;
-    let mut workers: Option<usize> = None;
-    let mut remotes: Vec<String> = Vec::new();
-    let mut retries: Option<u32> = None;
-    let mut backoff_ms: Option<u64> = None;
-    let mut heartbeat_ms: Option<u64> = None;
-    let mut connect_timeout_ms: Option<u64> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--workers" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--workers requires a count")?;
-                workers = Some(
-                    v.parse()
-                        .map_err(|_| format!("--workers: expected a count, got {v:?}"))?,
-                );
-                args.drain(i..i + 2);
-            }
-            "--remote" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--remote requires host:port[,host:port,…]")?;
-                remotes.extend(
-                    v.split(',')
-                        .map(str::trim)
-                        .filter(|a| !a.is_empty())
-                        .map(String::from),
-                );
-                args.drain(i..i + 2);
-            }
-            "--connect-timeout-ms" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--connect-timeout-ms requires milliseconds")?;
-                connect_timeout_ms = Some(v.parse().map_err(|_| {
-                    format!("--connect-timeout-ms: expected milliseconds, got {v:?}")
-                })?);
-                args.drain(i..i + 2);
-            }
-            "--retries" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--retries requires a count")?;
-                retries = Some(
-                    v.parse()
-                        .map_err(|_| format!("--retries: expected a count, got {v:?}"))?,
-                );
-                args.drain(i..i + 2);
-            }
-            "--backoff-ms" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--backoff-ms requires milliseconds")?;
-                backoff_ms = Some(
-                    v.parse()
-                        .map_err(|_| format!("--backoff-ms: expected milliseconds, got {v:?}"))?,
-                );
-                args.drain(i..i + 2);
-            }
-            "--heartbeat-ms" => {
-                let v = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or("--heartbeat-ms requires milliseconds")?;
-                heartbeat_ms =
-                    Some(v.parse().map_err(|_| {
-                        format!("--heartbeat-ms: expected milliseconds, got {v:?}")
-                    })?);
-                args.drain(i..i + 2);
-            }
             "--resume" => {
                 let v = args
                     .get(i + 1)
@@ -216,35 +151,6 @@ fn parse_grid_control(args: &mut Vec<String>) -> Result<(GridControl, bool), Str
     }
     if compact && ctl.journal.is_none() {
         return Err("--compact-journal requires --resume JOURNAL".to_string());
-    }
-    if workers.is_some() || !remotes.is_empty() {
-        let d = SupervisorConfig::default();
-        // `--remote` without `--workers` means a purely remote grid: no
-        // local children, all shards dialed out.
-        let sup = SupervisorConfig {
-            workers: workers.unwrap_or(0),
-            remotes,
-            retries: retries.unwrap_or(d.retries),
-            backoff_ms: backoff_ms.unwrap_or(d.backoff_ms),
-            heartbeat_ms: heartbeat_ms.unwrap_or(d.heartbeat_ms),
-            connect_timeout_ms: connect_timeout_ms.unwrap_or(d.connect_timeout_ms),
-            worker_bin: None,
-        };
-        sup.validate().map_err(|e| e.to_string())?;
-        ctl.supervisor = Some(sup);
-    } else {
-        for (flag, set) in [
-            ("--retries", retries.is_some()),
-            ("--backoff-ms", backoff_ms.is_some()),
-            ("--heartbeat-ms", heartbeat_ms.is_some()),
-            ("--connect-timeout-ms", connect_timeout_ms.is_some()),
-        ] {
-            if set {
-                return Err(format!(
-                    "{flag} requires --workers N or --remote HOST:PORT (supervised grid mode)"
-                ));
-            }
-        }
     }
     Ok((ctl, compact))
 }
@@ -604,30 +510,13 @@ fn report_cell_errors(errors: &[CellError], out: &std::path::Path) -> bool {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // The hidden `worker` subcommand: how the supervisor re-execs this
-    // binary as a grid worker (see `ccs_experiments::supervisor`). It
-    // speaks length-prefixed JSON frames on stdin/stdout and never
-    // returns, so it must run before any flag parsing.
-    if args.first().map(String::as_str) == Some("worker") {
-        ccs_experiments::worker::worker_main();
-    }
-    // `serve-worker` — the remote TCP worker agent the supervisor's
-    // `--remote` flag dials. Long-lived: one protocol session per
-    // accepted connection, until a clean Shutdown frame. Never returns.
-    if args.first().map(String::as_str) == Some("serve-worker") {
-        let listen = match (args.get(1).map(String::as_str), args.get(2)) {
-            (Some("--listen"), Some(addr)) if args.len() == 3 => addr.clone(),
-            _ => {
-                eprintln!("utility_risk serve-worker: requires exactly --listen HOST:PORT");
-                std::process::exit(2);
-            }
-        };
-        ccs_experiments::worker::serve_worker_main(&listen);
-    }
     if args.is_empty() {
         usage();
     }
     let cmd = args.remove(0);
+    if !SUBCOMMANDS.contains(&cmd.as_str()) {
+        usage();
+    }
     // `figure` consumes one positional argument before the shared flags.
     let fig_id = if cmd == "figure" {
         if args.is_empty() || args[0].starts_with("--") {

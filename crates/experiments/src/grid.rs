@@ -115,14 +115,6 @@ pub struct GridControl {
     /// when `None`. The drill applies a small default budget when no
     /// per-cell budget is configured, so it terminates either way.
     pub stall_cell: Option<String>,
-    /// Fan the grid out across worker OS processes instead of in-process
-    /// threads. `None` (the default) keeps the in-process thread pool;
-    /// `Some` hands the run to [`crate::supervisor::run_grid_supervised`],
-    /// which re-execs the current binary as `utility_risk worker`
-    /// subprocesses. Supervised runs synthesise base jobs from
-    /// `cfg.trace` inside each worker, so caller-provided base jobs are
-    /// ignored on this path.
-    pub supervisor: Option<crate::supervisor::SupervisorConfig>,
 }
 
 /// The phase leaves extracted from a cell's profile snapshot into its
@@ -200,8 +192,8 @@ pub struct CellTiming {
     pub events: u64,
     /// Phase-attributed cost vector (zeros unless profiled).
     pub cost: CellCost,
-    /// 1-based id of the worker (thread or process) that simulated the
-    /// cell; 0 when unattributed (skipped cells, pre-v3 journal hits).
+    /// 1-based id of the pool thread that simulated the cell; 0 when
+    /// unattributed (skipped cells, pre-v3 journal hits).
     pub worker: u64,
 }
 
@@ -225,14 +217,14 @@ impl CellTiming {
 /// the baseline) can share one immutable trace instead of re-synthesising
 /// it. Keyed by the transform's debug rendering, which spells out every
 /// field at full float precision.
-pub(crate) struct WorkloadCache {
+struct WorkloadCache {
     map: Mutex<HashMap<String, Arc<Vec<Job>>>>,
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl WorkloadCache {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         WorkloadCache {
             map: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
@@ -244,11 +236,7 @@ impl WorkloadCache {
     /// on a miss. Synthesis runs outside the lock: two workers racing the
     /// same key at worst duplicate one synthesis (the first insert wins),
     /// never block each other for its duration.
-    pub(crate) fn get_or_generate(
-        &self,
-        key: String,
-        generate: impl FnOnce() -> Vec<Job>,
-    ) -> Arc<Vec<Job>> {
+    fn get_or_generate(&self, key: String, generate: impl FnOnce() -> Vec<Job>) -> Arc<Vec<Job>> {
         if let Some(hit) = self.map.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
@@ -285,9 +273,9 @@ pub struct RawGrid {
     /// `cell_costs[scenario][value][policy]` — per-cell phase cost vectors
     /// (all zeros unless built with the `profile` feature).
     pub cell_costs: Vec<Vec<Vec<CellCost>>>,
-    /// `cell_workers[scenario][value][policy]` — 1-based id of the worker
-    /// (thread in-process, process under the supervisor) that simulated
-    /// each cell; 0 for skipped cells and unattributed journal hits.
+    /// `cell_workers[scenario][value][policy]` — 1-based id of the pool
+    /// thread that simulated each cell; 0 for skipped cells and
+    /// unattributed journal hits.
     pub cell_workers: Vec<Vec<Vec<u64>>>,
     /// Grid-wide merge of every simulated cell's profile snapshot — the
     /// folded-stack flamegraph source. Empty unless profiled.
@@ -300,9 +288,9 @@ pub struct RawGrid {
     /// Busy seconds per worker thread (simulation time, excluding idle
     /// waits on the work queue) — the basis for utilisation reporting.
     pub worker_busy_secs: Vec<f64>,
-    /// Transport label (`"pipe"` / `"tcp"`) per supervised worker,
-    /// indexed like [`RawGrid::worker_busy_secs`] (worker id − 1). Empty
-    /// for in-process runs, whose workers are threads, not links.
+    /// Always empty: every grid runs on the in-process thread pool, whose
+    /// workers are threads, not transport links. Kept only so existing
+    /// `RawGrid` struct literals still compile.
     pub worker_transports: Vec<String>,
     /// End-to-end wall-clock seconds for the whole grid.
     pub wall_secs: f64,
@@ -370,19 +358,6 @@ pub fn policies_for(econ: EconomicModel) -> Vec<PolicyKind> {
         EconomicModel::CommodityMarket => PolicyKind::COMMODITY.to_vec(),
         EconomicModel::BidBased => PolicyKind::BID_BASED.to_vec(),
     }
-}
-
-/// Round-robin shard plan: work item `i` lands in shard `i % workers`.
-/// Deterministic in `(total, workers)` and balanced to within one item —
-/// the supervisor seeds each worker's deque from its shard, then lets
-/// work-stealing rebalance uneven cell costs at runtime.
-pub fn plan_shards(total: usize, workers: usize) -> Vec<Vec<usize>> {
-    let workers = workers.max(1);
-    let mut shards = vec![Vec::new(); workers];
-    for i in 0..total {
-        shards[i % workers].push(i);
-    }
-    shards
 }
 
 /// Runs the full 13 × 6 grid for one (economic model, estimate set) pair.
@@ -457,16 +432,6 @@ pub fn run_grid_with_base_ctl_observed(
     ctl: &GridControl,
     board: &LiveRiskBoard,
 ) -> RawGrid {
-    if ctl.supervisor.is_some() {
-        assert!(
-            cfg.replicas <= 1,
-            "in-cell seed ensembles (replicas > 1) run on the in-process \
-             thread pool; drop the supervisor or set replicas to 1"
-        );
-        // Multi-process path: workers synthesise base jobs from cfg.trace
-        // themselves, so the caller-provided base is not shipped.
-        return crate::supervisor::run_grid_supervised(econ, set, cfg, ctl, board);
-    }
     let journal = ctl.journal.as_deref().map(|p| {
         Journal::open(p).unwrap_or_else(|e| panic!("cannot open journal {}: {e}", p.display()))
     });
@@ -632,7 +597,7 @@ pub fn run_grid_with_base_ctl_observed(
 
 /// Feeds grid timings into the global telemetry registry (no-op without
 /// the `telemetry` feature).
-pub(crate) fn record_grid_telemetry(grid: &RawGrid) {
+fn record_grid_telemetry(grid: &RawGrid) {
     if !ccs_telemetry::ENABLED {
         return;
     }
@@ -691,7 +656,7 @@ fn violation_summary(violations: &[Violation]) -> String {
 
 /// Which fault-injection drills apply to one cell.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct CellDrill {
+struct CellDrill {
     /// Panic the cell deliberately ([`FAIL_CELL_ENV`]).
     pub fail: bool,
     /// Wedge the cell with a never-quiescing policy ([`STALL_CELL_ENV`]).
@@ -700,7 +665,7 @@ pub(crate) struct CellDrill {
 
 /// One simulated cell, before it is folded into a grid: the outcome (or a
 /// typed failure), wall-clock seconds, and the profile-derived cost.
-pub(crate) struct SimulatedCell {
+struct SimulatedCell {
     /// `Ok((objectives, events))` on completion, `Err((kind, message))`
     /// when the cell panicked, blew its budget, or violated invariants.
     pub outcome: Result<([f64; 4], u64), (CellErrorKind, String)>,
@@ -712,12 +677,11 @@ pub(crate) struct SimulatedCell {
     pub profile: ProfileSnapshot,
 }
 
-/// Simulates one grid cell — the single code path shared by the in-process
-/// thread pool ([`run_point`]) and the multi-process worker
-/// (`crate::worker`). Jobs are fetched through `get_jobs` inside the cell's
-/// profile span so workload synthesis is attributed to the cell; panics are
-/// caught and returned as typed failures, never propagated.
-pub(crate) fn simulate_cell(
+/// Simulates one grid cell for the thread pool ([`run_point`]). Jobs are
+/// fetched through `get_jobs` inside the cell's profile span so workload
+/// synthesis is attributed to the cell; panics are caught and returned as
+/// typed failures, never propagated.
+fn simulate_cell(
     kind: PolicyKind,
     run_cfg: &RunConfig,
     fault: Option<&FaultConfig>,
@@ -815,7 +779,7 @@ pub(crate) fn simulate_cell(
 /// (SplitMix64 finaliser): decorrelates the replicas' failure weather from
 /// the base stream and from each other, while staying a pure function of
 /// `(seed, replica)` so the ensemble is reproducible.
-pub(crate) fn fork_replica_seed(seed: u64, replica: u64) -> u64 {
+fn fork_replica_seed(seed: u64, replica: u64) -> u64 {
     let mut z = seed ^ replica.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -824,7 +788,7 @@ pub(crate) fn fork_replica_seed(seed: u64, replica: u64) -> u64 {
 
 /// One ensemble-simulated cell: the merged [`SimulatedCell`] (objectives =
 /// replica mean μ, events summed) plus the per-objective replica spread σ.
-pub(crate) struct EnsembleCell {
+struct EnsembleCell {
     /// Merged cell result; `outcome` holds μ objectives on success.
     pub cell: SimulatedCell,
     /// Population standard deviation of each objective across replicas.
@@ -843,7 +807,7 @@ pub(crate) struct EnsembleCell {
 /// and cost vectors are byte-identical regardless of `pool` — the same
 /// determinism contract the grid's outer thread pool honours.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_cell_ensemble(
+fn simulate_cell_ensemble(
     kind: PolicyKind,
     run_cfg: &RunConfig,
     fault: Option<&FaultConfig>,
@@ -1566,23 +1530,6 @@ mod tests {
                 .iter()
                 .all(|c| c.cost.top_phase().is_none()));
         }
-    }
-
-    #[test]
-    fn plan_shards_is_balanced_and_total() {
-        let shards = plan_shards(11, 4);
-        assert_eq!(shards.len(), 4);
-        let mut all: Vec<usize> = shards.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..11).collect::<Vec<_>>());
-        let (min, max) = (
-            shards.iter().map(Vec::len).min().unwrap(),
-            shards.iter().map(Vec::len).max().unwrap(),
-        );
-        assert!(max - min <= 1, "unbalanced: {shards:?}");
-        // Degenerate inputs stay well-formed.
-        assert_eq!(plan_shards(3, 0).len(), 1);
-        assert!(plan_shards(0, 4).iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -32,10 +32,6 @@ pub enum CellErrorKind {
     /// The cell simulated to completion but the online invariant engine
     /// found violations, so its numbers cannot be trusted.
     Invariant,
-    /// The multi-process supervisor retried the cell K times (worker
-    /// crashes, heartbeat timeouts, protocol errors, or panics) and gave
-    /// up — a poison cell, quarantined so the sweep can finish around it.
-    Quarantine,
 }
 
 /// One grid cell that failed instead of completing. The grid reports
@@ -62,7 +58,6 @@ impl std::fmt::Display for CellError {
             CellErrorKind::Panic => "panicked",
             CellErrorKind::Budget => "exceeded its budget",
             CellErrorKind::Invariant => "violated invariants",
-            CellErrorKind::Quarantine => "was quarantined",
         };
         write!(
             f,
@@ -97,8 +92,8 @@ pub struct CellRecord {
     /// field existed fail to parse line by line and are simply re-run —
     /// the same graceful degradation as a torn line.
     pub events: u64,
-    /// 1-based id of the worker (thread or process) that simulated the
-    /// cell; 0 when unattributed. Pre-existing journals without this field
+    /// 1-based id of the pool thread that simulated the cell; 0 when
+    /// unattributed. Pre-existing journals without this field
     /// fail line-parse and re-run, like any schema change.
     pub worker: u64,
 }
@@ -200,87 +195,13 @@ impl Journal {
         crate::atomic::write_atomic(path, out.as_bytes())?;
         Ok((read, order.len()))
     }
-
-    /// The per-worker shard journal path derived from a primary journal:
-    /// `<primary>.shard<worker_id>`. Workers append to their own shard so
-    /// no two processes ever write one file; [`Journal::merge_shards`]
-    /// folds the shards back into the primary.
-    pub fn shard_path(primary: &Path, worker_id: u64) -> PathBuf {
-        let mut name = primary
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "journal".to_string());
-        name.push_str(&format!(".shard{worker_id}"));
-        primary.with_file_name(name)
-    }
-
-    /// Folds every `<primary>.shard*` file next to `primary` into the
-    /// primary journal, then deletes the shards. Records whose key the
-    /// primary already holds are skipped (the primary wins — it was
-    /// written by the supervisor as results arrived; shards only add
-    /// cells that completed after the supervisor last heard about them).
-    /// Shard files are parsed with the same torn-line tolerance as
-    /// [`Journal::open`]: a worker killed mid-append leaves a torn tail,
-    /// which is skipped, not fatal. Returns `(shards merged, records
-    /// adopted)`.
-    pub fn merge_shards(primary: &Path) -> std::io::Result<(usize, usize)> {
-        let dir = match primary.parent().filter(|d| !d.as_os_str().is_empty()) {
-            Some(d) => d.to_path_buf(),
-            None => PathBuf::from("."),
-        };
-        let Some(name) = primary
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-        else {
-            return Ok((0, 0));
-        };
-        let prefix = format!("{name}.shard");
-        let mut shards: Vec<PathBuf> = Vec::new();
-        match std::fs::read_dir(&dir) {
-            Ok(entries) => {
-                for entry in entries.flatten() {
-                    if entry.file_name().to_string_lossy().starts_with(&prefix) {
-                        shards.push(entry.path());
-                    }
-                }
-            }
-            Err(_) => return Ok((0, 0)),
-        }
-        if shards.is_empty() {
-            return Ok((0, 0));
-        }
-        shards.sort();
-        let journal = Journal::open(primary)?;
-        let mut adopted_keys: std::collections::HashSet<String> = std::collections::HashSet::new();
-        let mut adopted = 0usize;
-        for shard in &shards {
-            if let Ok(text) = std::fs::read_to_string(shard) {
-                for line in text.lines() {
-                    let line = line.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    if let Ok(rec) = serde_json::from_str::<CellRecord>(line) {
-                        if journal.get(&rec.key).is_none() && adopted_keys.insert(rec.key.clone()) {
-                            journal.append(&rec);
-                            adopted += 1;
-                        }
-                    }
-                }
-            }
-        }
-        for shard in &shards {
-            let _ = std::fs::remove_file(shard);
-        }
-        Ok((shards.len(), adopted))
-    }
 }
 
 /// Provenance hash of one grid cell: FNV-1a over a canonical description of
-/// every input that determines its result. Any change — seed, trace size,
-/// cluster size, economic model, estimate set, scenario definition, fault
-/// parameters, policy — changes the key, so a stale journal can never leak
-/// wrong numbers into a resumed run.
+/// every input that determines its result. Any change — seed, any field of
+/// the trace model, cluster size, economic model, estimate set, scenario
+/// definition, fault parameters, policy — changes the key, so a stale
+/// journal can never leak wrong numbers into a resumed run.
 pub fn cell_key(
     econ: EconomicModel,
     set: EstimateSet,
@@ -293,11 +214,10 @@ pub fn cell_key(
     let value = scenario.values()[value_idx];
     let fault = scenario.fault(value, cfg.seed);
     let canon = format!(
-        "v2|seed={}|nodes={}|jobs={}|interarrival={}|econ={:?}|set={:?}|scenario={:?}|value={}|policy={:?}|fault={:?}|replicas={}",
+        "v3|seed={}|nodes={}|trace={:?}|econ={:?}|set={:?}|scenario={:?}|value={}|policy={:?}|fault={:?}|replicas={}",
         cfg.seed,
         cfg.nodes,
-        cfg.trace.jobs,
-        cfg.trace.mean_interarrival,
+        cfg.trace,
         econ,
         set,
         scenario,
@@ -409,56 +329,6 @@ mod tests {
         assert!(e.to_string().contains("exceeded its budget: boom"));
         e.kind = CellErrorKind::Invariant;
         assert!(e.to_string().contains("violated invariants: boom"));
-        e.kind = CellErrorKind::Quarantine;
-        assert!(e.to_string().contains("was quarantined: boom"));
-    }
-
-    #[test]
-    fn merge_shards_adopts_deduplicates_and_deletes() {
-        let dir = std::env::temp_dir().join("ccs_journal_test_merge");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("journal.jsonl");
-        {
-            let j = Journal::open(&path).unwrap();
-            j.append(&rec("aaaa", 0));
-        }
-        // Shard 1 holds one duplicate of the primary and one new record;
-        // shard 2 holds a record duplicated across shards plus a torn tail.
-        {
-            let s1 = Journal::open(&Journal::shard_path(&path, 1)).unwrap();
-            s1.append(&rec("aaaa", 9)); // primary wins
-            s1.append(&rec("bbbb", 1));
-            s1.append(&rec("cccc", 2));
-            let s2 = Journal::open(&Journal::shard_path(&path, 2)).unwrap();
-            s2.append(&rec("cccc", 8)); // first shard wins
-            use std::io::Write;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(Journal::shard_path(&path, 2))
-                .unwrap();
-            write!(f, "{{\"key\":\"torn").unwrap();
-        }
-        let (shards, adopted) = Journal::merge_shards(&path).unwrap();
-        assert_eq!((shards, adopted), (2, 2));
-        let j = Journal::open(&path).unwrap();
-        assert_eq!(j.loaded(), 3);
-        assert_eq!(j.get("aaaa"), Some(&rec("aaaa", 0)), "primary wins");
-        assert_eq!(j.get("bbbb"), Some(&rec("bbbb", 1)));
-        assert_eq!(j.get("cccc"), Some(&rec("cccc", 2)), "first shard wins");
-        // Shard files are consumed; a second merge is a no-op.
-        assert!(!Journal::shard_path(&path, 1).exists());
-        assert!(!Journal::shard_path(&path, 2).exists());
-        assert_eq!(Journal::merge_shards(&path).unwrap(), (0, 0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_path_appends_worker_suffix() {
-        let p = Path::new("/tmp/x/journal.jsonl");
-        assert_eq!(
-            Journal::shard_path(p, 3),
-            Path::new("/tmp/x/journal.jsonl.shard3")
-        );
     }
 
     #[test]
@@ -475,7 +345,24 @@ mod tests {
         let mut other_seed = cfg;
         other_seed.seed += 1;
         let ensemble = cfg.with_replicas(3);
+        let mut heavier_tail = cfg;
+        heavier_tail.trace.runtime_cv += 0.5;
+        let mut modal = cfg;
+        modal.trace.estimate_model = ccs_workload::EstimateModel::Modal;
+        assert_ne!(modal.trace.estimate_model, cfg.trace.estimate_model);
+        let trace_variant = |c: &ExperimentConfig| {
+            cell_key(
+                EconomicModel::CommodityMarket,
+                EstimateSet::A,
+                c,
+                0,
+                0,
+                PolicyKind::FcfsBf,
+            )
+        };
         let variants = [
+            trace_variant(&heavier_tail),
+            trace_variant(&modal),
             cell_key(
                 EconomicModel::CommodityMarket,
                 EstimateSet::A,

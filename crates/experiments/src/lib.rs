@@ -28,7 +28,6 @@ pub mod atomic;
 pub mod export;
 pub mod figures;
 pub mod grid;
-pub mod ipc;
 pub mod journal;
 pub mod live;
 pub mod perf;
@@ -37,12 +36,10 @@ pub mod replications;
 pub mod report_md;
 pub mod scenario;
 pub mod store;
-pub mod supervisor;
 pub mod tables;
 pub mod telemetry_report;
 pub mod trace_report;
 pub mod trace_run;
-pub mod worker;
 
 pub use ablation::{run_all as run_all_ablations, Ablation};
 pub use analysis::{analyze, analyze_with, GridAnalysis};
@@ -60,7 +57,6 @@ pub use replications::{
 };
 pub use scenario::{baseline, EstimateSet, QosAttr, Scenario};
 pub use store::{Query, QueryResult, ResultStore, STORE_FILE, STORE_SCHEMA_VERSION};
-pub use supervisor::{backoff_delay_ms, SupervisorConfig, WorkerFailure};
 pub use telemetry_report::TelemetryReport;
 pub use trace_report::TraceAnalysis;
 pub use trace_run::{capture_cell, write_bundle, ProvenanceManifest, TraceBundle, TraceCellSpec};

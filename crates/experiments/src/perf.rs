@@ -88,10 +88,10 @@ fn is_profiled(store: &ResultStore) -> bool {
     })
 }
 
-/// Worker attribution for a row: `w3` for a cell run by worker 3 (a
-/// thread in-process, an OS process under the supervisor), `w-` when
-/// unattributed (chaos rows, cells restored from pre-v3 journals).
-fn worker_tag(worker: u64) -> String {
+/// Worker attribution for a row: `w3` for a cell run by pool thread 3,
+/// `w-` when unattributed (chaos rows, cells restored from pre-v3
+/// journals).
+pub(crate) fn worker_tag(worker: u64) -> String {
     if worker == 0 {
         "w-".to_string()
     } else {

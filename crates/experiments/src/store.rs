@@ -36,7 +36,7 @@ pub const STORE_FILE: &str = "results_store.json";
 ///
 /// v4 added the ensemble columns: `replicas` plus the four `sigma_*`
 /// replica-spread columns. v3 added the `worker` attribution column (which
-/// worker process/thread simulated each cell). v2 added the per-cell cost
+/// pool thread simulated each cell). v2 added the per-cell cost
 /// vector: `events_per_sec`, `peak_queue_depth`, and one `ns_*` self-time
 /// column per profiled phase. v1–v3 stores load transparently — the new
 /// columns are additive and filled with exactly the values the older
@@ -114,8 +114,7 @@ pub struct Columns {
     pub ns_fault: Vec<u64>,
     /// Self-time nanoseconds in the metrics post-pass. Schema v2.
     pub ns_collect: Vec<u64>,
-    /// 1-based id of the worker (thread in-process, OS process under the
-    /// multi-process supervisor) that simulated the cell; 0 when
+    /// 1-based id of the pool thread that simulated the cell; 0 when
     /// unattributed (chaos rows, skipped cells, pre-v3 journal hits).
     /// Schema v3.
     pub worker: Vec<u64>,

@@ -14,10 +14,10 @@ use std::path::Path;
 
 /// Current [`TelemetryReport::schema_version`]. v2 added the per-cell
 /// phase cost vector to [`CellTiming`]; v3 added worker attribution
-/// (`CellTiming::worker`, 0 when the cell ran in-process); v4 added
-/// per-worker transport labels (`GridWallTimes::worker_transports`) and
-/// the `grid.transport.*` counters.
-pub const SCHEMA_VERSION: u32 = 4;
+/// (`CellTiming::worker`, 0 when unattributed); v4 added per-worker
+/// transport labels and the `grid.transport.*` counters; v5 removed both
+/// again, since every grid runs on the in-process thread pool.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Wall-time table of one grid: seconds per (scenario, policy), summed
 /// over the six scenario values.
@@ -37,9 +37,6 @@ pub struct GridWallTimes {
     pub wall_secs: f64,
     /// Busy seconds per worker thread.
     pub worker_busy_secs: Vec<f64>,
-    /// Transport label (`"pipe"` / `"tcp"`) per supervised worker,
-    /// indexed like `worker_busy_secs`. Empty for in-process runs.
-    pub worker_transports: Vec<String>,
 }
 
 impl GridWallTimes {
@@ -62,7 +59,6 @@ impl GridWallTimes {
             secs,
             wall_secs: grid.wall_secs,
             worker_busy_secs: grid.worker_busy_secs.clone(),
-            worker_transports: grid.worker_transports.clone(),
         }
     }
 }
@@ -127,19 +123,9 @@ pub fn slowest_cells_summary(grids: &[RawGrid], k: usize) -> String {
         .iter()
         .flat_map(|g| {
             let tag = format!("{} / {}", g.econ, g.set.label());
-            g.slowest_cells(k).into_iter().map(move |c| {
-                // Supervised grids tag each worker with its transport
-                // (`w3/tcp`); in-process workers are plain threads.
-                let worker = if c.worker == 0 {
-                    "w-".to_string()
-                } else {
-                    match g.worker_transports.get((c.worker - 1) as usize) {
-                        Some(t) => format!("w{}/{t}", c.worker),
-                        None => format!("w{}", c.worker),
-                    }
-                };
-                (tag.clone(), worker, c)
-            })
+            g.slowest_cells(k)
+                .into_iter()
+                .map(move |c| (tag.clone(), crate::perf::worker_tag(c.worker), c))
         })
         .collect();
     cells.sort_by(|a, b| b.2.secs.total_cmp(&a.2.secs));
@@ -203,7 +189,7 @@ mod tests {
         // Header + k cells + the workload-cache totals line.
         assert_eq!(text.lines().count(), 5);
         assert!(text.contains("ev/s"));
-        // Every cell line carries a worker (thread or process) tag.
+        // Every cell line carries a pool-thread tag.
         let tagged = text
             .lines()
             .skip(1)
@@ -211,24 +197,5 @@ mod tests {
             .all(|l| l.contains("  w") && l.contains("ev/s"));
         assert!(tagged, "{text}");
         assert!(text.contains("workload cache:"));
-    }
-
-    #[test]
-    fn summary_tags_supervised_workers_with_their_transport() {
-        let cfg = ExperimentConfig::quick().with_jobs(40);
-        let mut g = run_grid(EconomicModel::BidBased, EstimateSet::B, &cfg);
-        let max_worker = g
-            .cell_workers
-            .iter()
-            .flatten()
-            .flatten()
-            .copied()
-            .max()
-            .unwrap_or(0) as usize;
-        assert!(max_worker >= 1, "in-process cells are worker-attributed");
-        g.worker_transports = vec!["tcp".to_string(); max_worker];
-        let text = slowest_cells_summary(std::slice::from_ref(&g), 3);
-        let tagged = text.lines().skip(1).take(3).all(|l| l.contains("/tcp"));
-        assert!(tagged, "{text}");
     }
 }

@@ -2,6 +2,7 @@
 //! killed partway (cell budget) resumes from its journal to results
 //! byte-identical to an uninterrupted run, and a panicking cell is confined
 //! to a reported `CellError` (nonzero exit) instead of aborting the study.
+//! The CLI rejects the flags of the removed multi-process grid up front.
 
 use ccs_experiments::{run_evaluation, run_evaluation_ctl, ExperimentConfig, GridControl};
 use std::path::PathBuf;
@@ -157,4 +158,79 @@ fn panicking_cell_reports_errors_and_resume_heals() {
         "resumed report must be byte-identical to an uninterrupted run"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every grid runs on the in-process thread pool; the flags and
+/// subcommands of the old multi-process and multi-machine grid are gone.
+/// Each one is rejected up front: exit 2, an error naming the flag (or the
+/// usage text for a subcommand), and no simulation — nothing on stdout and
+/// no `--out` artifacts.
+fn assert_removed_surface_exits_2_before_simulating(
+    name: &str,
+    flag_cases: &[(&[&str], &str)],
+    subcommand_cases: &[&[&str]],
+) {
+    let dir = temp_dir(name);
+    let out = dir.join("out");
+    let mut cases: Vec<(Vec<&str>, &str)> = flag_cases
+        .iter()
+        .map(|(flags, flag)| {
+            let mut args = vec!["summary", "--quick", "--quiet"];
+            args.extend_from_slice(flags);
+            (args, *flag)
+        })
+        .collect();
+    cases.extend(
+        subcommand_cases
+            .iter()
+            .map(|args| (args.to_vec(), "usage:")),
+    );
+    for (args, expect) in &cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_utility_risk"))
+            .args(args)
+            .args(["--out", out.to_str().unwrap()])
+            .output()
+            .expect("spawn utility_risk");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?} must exit 2: {stderr}"
+        );
+        assert!(
+            stderr.contains(expect),
+            "{args:?} must print {expect}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?} must not simulate");
+        assert!(!out.exists(), "{args:?} must not write artifacts");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The multi-process grid's flags and its hidden `worker` subcommand.
+#[test]
+fn removed_supervisor_flags_exit_2_naming_the_flag() {
+    assert_removed_surface_exits_2_before_simulating(
+        "removed_supervisor_surface",
+        &[
+            (&["--workers", "2"], "--workers"),
+            (&["--retries", "3"], "--retries"),
+            (&["--backoff-ms", "10"], "--backoff-ms"),
+            (&["--heartbeat-ms", "50"], "--heartbeat-ms"),
+        ],
+        &[&["worker"]],
+    );
+}
+
+/// The multi-machine grid's flags and its `serve-worker` subcommand.
+#[test]
+fn removed_transport_flags_exit_2_naming_the_flag() {
+    assert_removed_surface_exits_2_before_simulating(
+        "removed_transport_surface",
+        &[
+            (&["--remote", "127.0.0.1:9"], "--remote"),
+            (&["--connect-timeout-ms", "100"], "--connect-timeout-ms"),
+        ],
+        &[&["serve-worker", "--listen", "127.0.0.1:0"]],
+    );
 }
