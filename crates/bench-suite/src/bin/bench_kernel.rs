@@ -46,8 +46,8 @@ use ccs_cluster::{PsCluster, WeightMode};
 use ccs_des::{EventQueue, SimRng, SimTime, Simulation};
 use ccs_economy::EconomicModel;
 use ccs_experiments::{run_cell_ensemble, run_grid, EstimateSet, ExperimentConfig, Scenario};
-use ccs_policies::PolicyKind;
-use ccs_simsvc::{simulate, simulate_observed, FaultConfig, LiveRunStats, RunConfig};
+use ccs_policies::{build_policy, PolicyKind};
+use ccs_simsvc::{run, simulate, FaultConfig, LiveRunStats, RunConfig, RunOptions};
 use ccs_workload::{apply_scenario, Job, JobId, ScenarioTransform, SdscSp2Model, Urgency};
 use std::sync::Arc;
 
@@ -262,7 +262,14 @@ fn observed_round(jobs: &[Job], kind: PolicyKind, nodes: u32) -> u64 {
         econ: EconomicModel::CommodityMarket,
     };
     let mut live = LiveRunStats::new(jobs, &cfg);
-    let (res, _) = simulate_observed(jobs, kind, &cfg, None, &mut live);
+    let opts = RunOptions {
+        observer: Some(&mut live),
+        ..RunOptions::default()
+    };
+    let policy = build_policy(kind, cfg.econ, cfg.nodes);
+    let res = run(jobs, policy, &cfg, opts)
+        .expect("an unlimited budget cannot trip")
+        .result;
     let mut checksum = 0u64;
     for x in res.metrics.objectives() {
         checksum = checksum

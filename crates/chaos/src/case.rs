@@ -13,7 +13,7 @@ use ccs_des::SimRng;
 use ccs_economy::EconomicModel;
 use ccs_policies::{build_policy, Policy, PolicyKind};
 use ccs_simsvc::{
-    simulate_checked_guarded, BudgetExceeded, FaultConfig, RunBudget, RunConfig, Violation,
+    check_run, run, BudgetExceeded, FaultConfig, RunBudget, RunConfig, RunOptions, Violation,
 };
 use ccs_workload::{apply_scenario, Job, ScenarioTransform, SdscSp2Model};
 use serde::{Deserialize, Serialize};
@@ -278,16 +278,23 @@ impl ChaosCase {
     /// Runs the case under `budget` through the invariant-checked,
     /// watchdog-guarded simulator, converting panics into findings.
     pub fn run(&self, budget: RunBudget) -> CaseOutcome {
-        let name = self.policy.name();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let (jobs, cfg, fault, policy) = self.build();
-            simulate_checked_guarded(&jobs, policy, &cfg, name, fault.as_ref(), budget)
+            let opts = RunOptions {
+                fault: fault.as_ref(),
+                budget,
+                observer: None,
+            };
+            run(&jobs, policy, &cfg, opts).map(|out| {
+                let violations = check_run(&jobs, &cfg, &out.outcomes, &out.result);
+                (out.outcomes.len() as u64, violations)
+            })
         }));
         match outcome {
             Err(payload) => CaseOutcome::Panic(panic_message(payload)),
             Ok(Err(budget)) => CaseOutcome::Budget(budget),
-            Ok(Ok(run)) if run.is_clean() => CaseOutcome::Clean { events: run.events },
-            Ok(Ok(run)) => CaseOutcome::Violations(run.violations),
+            Ok(Ok((events, violations))) if violations.is_empty() => CaseOutcome::Clean { events },
+            Ok(Ok((_, violations))) => CaseOutcome::Violations(violations),
         }
     }
 }

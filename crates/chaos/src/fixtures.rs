@@ -256,8 +256,19 @@ mod tests {
     use super::*;
     use ccs_economy::EconomicModel;
     use ccs_policies::{build_policy, PolicyKind};
-    use ccs_simsvc::{simulate_checked_with, RunConfig};
+    use ccs_simsvc::{check_run, run, RunConfig, RunOptions, RunResult, Violation};
     use ccs_workload::Urgency;
+
+    /// [`run`] followed by [`check_run`].
+    fn checked(
+        jobs: &[Job],
+        policy: Box<dyn Policy>,
+        cfg: &RunConfig,
+    ) -> (RunResult, Vec<Violation>) {
+        let out = run(jobs, policy, cfg, RunOptions::default()).unwrap();
+        let violations = check_run(jobs, cfg, &out.outcomes, &out.result);
+        (out.result, violations)
+    }
 
     fn job(id: JobId, submit: f64) -> Job {
         Job {
@@ -282,11 +293,11 @@ mod tests {
         };
         let inner = build_policy(PolicyKind::FcfsBf, cfg.econ, cfg.nodes);
         let policy = Box::new(BrownoutPolicy::new(inner, 250.0, 550.0));
-        let checked = simulate_checked_with(&jobs, policy, &cfg, None);
-        assert!(checked.is_clean(), "{:?}", checked.violations);
+        let (result, violations) = checked(&jobs, policy, &cfg);
+        assert!(violations.is_empty(), "{violations:?}");
         // Jobs 3, 4, 5 submit at 300/400/500 — inside the window.
-        assert_eq!(checked.result.metrics.accepted, 7);
-        assert_eq!(checked.result.metrics.submitted, 10);
+        assert_eq!(result.metrics.accepted, 7);
+        assert_eq!(result.metrics.submitted, 10);
     }
 
     #[test]
@@ -301,11 +312,10 @@ mod tests {
             (BrokenPolicyKind::TimeWarp, "event_time_monotone"),
             (BrokenPolicyKind::DoubleAccept, "sla_lifecycle"),
         ] {
-            let checked = simulate_checked_with(&jobs, kind.build(), &cfg, None);
+            let (_, violations) = checked(&jobs, kind.build(), &cfg);
             assert!(
-                checked.violations.iter().any(|v| v.invariant == expect),
-                "{kind:?}: expected {expect}, got {:?}",
-                checked.violations
+                violations.iter().any(|v| v.invariant == expect),
+                "{kind:?}: expected {expect}, got {violations:?}"
             );
         }
     }

@@ -13,11 +13,10 @@ use crate::progress;
 use crate::scenario::{EstimateSet, Scenario};
 use ccs_chaos::StuckPolicy;
 use ccs_economy::EconomicModel;
-use ccs_policies::{build_policy, PolicyKind};
+use ccs_policies::{build_policy, Policy, PolicyKind};
 use ccs_risk::WaitNormalization;
 use ccs_simsvc::{
-    simulate_checked_guarded, simulate_counted, simulate_faulty_counted, simulate_guarded,
-    simulate_guarded_with, BudgetExceeded, FaultConfig, RunBudget, RunConfig, Violation,
+    check_run, run, BudgetExceeded, FaultConfig, RunBudget, RunConfig, RunOptions, Violation,
 };
 use ccs_telemetry::profile::ProfileSnapshot;
 use ccs_workload::{apply_scenario, BaseJob, Job, SdscSp2Model};
@@ -701,7 +700,7 @@ fn simulate_cell(
             "{FAIL_CELL_ENV} injected panic in cell {cell_label}"
         );
         let jobs = get_jobs();
-        if drill.stall {
+        let (policy, budget): (Box<dyn Policy>, RunBudget) = if drill.stall {
             // Watchdog drill: swap in a policy whose event horizon never
             // empties. An unguarded drain against it would spin forever,
             // so the drill always runs with *some* budget.
@@ -713,45 +712,28 @@ fn simulate_cell(
             } else {
                 run_budget
             };
-            return match simulate_guarded_with(
-                &jobs,
-                Box::new(StuckPolicy::new()),
-                run_cfg,
-                kind.name(),
-                fault,
-                budget,
-            ) {
-                Ok((result, n)) => CellSim::Done(result.metrics.objectives(), n),
-                Err(e) => CellSim::Budget(e),
-            };
-        }
-        if cfg!(feature = "invariants") {
-            let policy = build_policy(kind, run_cfg.econ, run_cfg.nodes);
-            return match simulate_checked_guarded(
-                &jobs,
-                policy,
-                run_cfg,
-                kind.name(),
-                fault,
-                run_budget,
-            ) {
-                Ok(checked) if checked.violations.is_empty() => {
-                    CellSim::Done(checked.result.metrics.objectives(), checked.events)
-                }
-                Ok(checked) => CellSim::Invariant(checked.violations),
-                Err(e) => CellSim::Budget(e),
-            };
-        }
-        if run_budget.is_unlimited() {
-            let (result, n_events) = match fault {
-                Some(f) => simulate_faulty_counted(&jobs, kind, run_cfg, f),
-                None => simulate_counted(&jobs, kind, run_cfg),
-            };
-            CellSim::Done(result.metrics.objectives(), n_events)
+            (Box::new(StuckPolicy::new()), budget)
         } else {
-            match simulate_guarded(&jobs, kind, run_cfg, fault, run_budget) {
-                Ok((result, n)) => CellSim::Done(result.metrics.objectives(), n),
-                Err(e) => CellSim::Budget(e),
+            (build_policy(kind, run_cfg.econ, run_cfg.nodes), run_budget)
+        };
+        let opts = RunOptions {
+            fault,
+            budget,
+            observer: None,
+        };
+        match run(&jobs, policy, run_cfg, opts) {
+            Err(e) => CellSim::Budget(e),
+            Ok(out) => {
+                let violations = if cfg!(feature = "invariants") {
+                    check_run(&jobs, run_cfg, &out.outcomes, &out.result)
+                } else {
+                    Vec::new()
+                };
+                if violations.is_empty() {
+                    CellSim::Done(out.result.metrics.objectives(), out.outcomes.len() as u64)
+                } else {
+                    CellSim::Invariant(violations)
+                }
             }
         }
     }));

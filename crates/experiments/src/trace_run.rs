@@ -15,8 +15,8 @@
 use crate::grid::ExperimentConfig;
 use crate::scenario::{EstimateSet, Scenario};
 use ccs_economy::EconomicModel;
-use ccs_policies::PolicyKind;
-use ccs_simsvc::{simulate_traced, RunConfig, RunResult, RunTrace, Timeline};
+use ccs_policies::{build_policy, PolicyKind};
+use ccs_simsvc::{run_traced, RunConfig, RunOptions, RunResult, RunTrace, Timeline};
 use ccs_telemetry::trace::{TraceEvent, TraceRecord, TRACE_SCHEMA_VERSION};
 use ccs_workload::apply_scenario;
 use serde::{Deserialize, Serialize};
@@ -264,10 +264,15 @@ pub fn capture_cell(spec: &TraceCellSpec, cfg: &ExperimentConfig) -> TraceBundle
     };
     // The failure-rate scenario injects faults exactly as the grid does, so
     // a traced cell reproduces its grid counterpart bit for bit.
-    let (result, trace) = match spec.scenario.fault(value, cfg.seed) {
-        Some(fault) => ccs_simsvc::simulate_traced_faulty(&jobs, spec.policy, &run_cfg, &fault),
-        None => simulate_traced(&jobs, spec.policy, &run_cfg),
+    let fault = spec.scenario.fault(value, cfg.seed);
+    let policy = build_policy(spec.policy, run_cfg.econ, run_cfg.nodes);
+    let opts = RunOptions {
+        fault: fault.as_ref(),
+        ..RunOptions::default()
     };
+    let (out, trace) =
+        run_traced(&jobs, policy, &run_cfg, opts).expect("unbudgeted runs cannot exceed a budget");
+    let result = out.result;
     let timeline = Timeline::from_run(&jobs, &result.records, cfg.nodes, TIMELINE_BUCKET_SECS);
 
     let version = env!("CARGO_PKG_VERSION").to_string();

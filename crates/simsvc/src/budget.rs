@@ -10,8 +10,9 @@
 //! events, never mid-event) and cancels the run into a typed
 //! [`BudgetExceeded`] instead.
 //!
-//! Budgets are opt-in: every legacy entry point passes no budget and takes
-//! a checked-nothing code path that is byte-identical to earlier releases.
+//! Budgets are opt-in: [`RunOptions`](crate::RunOptions) defaults to
+//! [`RunBudget::unlimited`], which runs without a watchdog on a
+//! checked-nothing code path that is byte-identical to a budgeted run.
 
 use std::time::Instant;
 

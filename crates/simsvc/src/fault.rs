@@ -8,10 +8,11 @@
 //! interrupted job is resubmitted (restart from scratch or resume with a
 //! penalty) or aborted once its restart budget is spent.
 //!
-//! Fault injection is opt-in and fully separate from [`RunConfig`]
-//! (crate::RunConfig): `simulate(..)` never injects failures and is
-//! byte-identical to earlier releases; `simulate_faulty(.., &fault)` is the
-//! failure-aware entry point.
+//! Fault injection is opt-in and fully separate from
+//! [`RunConfig`](crate::RunConfig): a [`run`](crate::run) whose
+//! [`RunOptions::fault`](crate::RunOptions::fault) is `None` never injects
+//! failures and is byte-identical to the simulator before fault injection
+//! existed; `Some(&fault)` turns the weather on.
 
 use ccs_des::FailureDist;
 use serde::{Deserialize, Serialize};

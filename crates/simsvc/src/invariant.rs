@@ -23,16 +23,16 @@
 //!    are refolded from the outcome stream by an independent code path and
 //!    compared against [`RunMetrics::objectives`].
 //!
-//! The checker is a pure post-pass over data the runner already produces —
-//! it never feeds back into simulation state, so checked and unchecked runs
-//! are byte-identical. Violations are *reported*, not panicked, so a chaos
+//! The checker is a pure post-pass over a [`run`]'s output —
+//! `check_run(jobs, cfg, &out.outcomes, &out.result)` — so it never feeds
+//! back into simulation state, and checked and unchecked runs are
+//! byte-identical. Violations are *reported*, not panicked, so a chaos
 //! soak can shrink a failing schedule instead of dying on it.
 
-use crate::budget::{BudgetExceeded, RunBudget};
 use crate::fault::FaultConfig;
-use crate::runner::{run_with_outcomes_guarded, RunConfig, RunResult};
+use crate::runner::{run, RunConfig, RunOptions, RunResult, UNBUDGETED};
 use ccs_economy::{bid_utility, EconomicModel};
-use ccs_policies::{build_policy, Outcome, Policy, PolicyKind};
+use ccs_policies::{build_policy, Outcome, PolicyKind};
 use ccs_workload::{Job, JobId};
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +68,8 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// A run plus everything the invariant engine concluded about it.
+/// A run plus everything the invariant engine concluded about it. Returned
+/// only by [`simulate_checked`]; goes with it.
 #[derive(Clone, Debug)]
 pub struct CheckedRun {
     /// The ordinary simulation result, byte-identical to the unchecked run.
@@ -86,58 +87,29 @@ impl CheckedRun {
     }
 }
 
-/// Simulates under a built-in policy and checks every invariant.
+/// [`run`] under `kind` followed by [`check_run`]. Kept only for
+/// `perfbench/`; delete it in the next change that may edit the benchmark.
 pub fn simulate_checked(
     jobs: &[Job],
     kind: PolicyKind,
     cfg: &RunConfig,
     fault: Option<&FaultConfig>,
 ) -> CheckedRun {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_checked_guarded(
+    run(
         jobs,
-        policy,
+        build_policy(kind, cfg.econ, cfg.nodes),
         cfg,
-        kind.name(),
-        fault,
-        RunBudget::unlimited(),
+        RunOptions {
+            fault,
+            ..RunOptions::default()
+        },
     )
-    .expect("unlimited budget cannot trip")
-}
-
-/// Simulates a caller-constructed policy and checks every invariant.
-pub fn simulate_checked_with(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    fault: Option<&FaultConfig>,
-) -> CheckedRun {
-    simulate_checked_guarded(jobs, policy, cfg, "custom", fault, RunBudget::unlimited())
-        .expect("unlimited budget cannot trip")
-}
-
-/// The full checked entry point: watchdog-guarded simulation followed by
-/// the invariant post-pass. `name` labels the telemetry series.
-pub fn simulate_checked_guarded(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-    budget: RunBudget,
-) -> Result<CheckedRun, BudgetExceeded> {
-    let guard = if budget.is_unlimited() {
-        None
-    } else {
-        Some(budget)
-    };
-    let (result, out) = run_with_outcomes_guarded(jobs, policy, cfg, name, fault, guard)?;
-    let violations = check_run(jobs, cfg, &out, &result);
-    Ok(CheckedRun {
-        result,
-        events: out.len() as u64,
-        violations,
+    .map(|o| CheckedRun {
+        violations: check_run(jobs, cfg, &o.outcomes, &o.result),
+        events: o.outcomes.len() as u64,
+        result: o.result,
     })
+    .expect(UNBUDGETED)
 }
 
 /// Per-job lifecycle state tracked by the checker.
@@ -641,7 +613,7 @@ fn event_coords(o: &Outcome) -> (f64, Option<JobId>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::simulate;
+    use crate::runner::{simulate, RunOutput};
     use ccs_workload::Urgency;
 
     fn job(id: JobId, submit: f64, runtime: f64, deadline: f64, procs: u32, budget: f64) -> Job {
@@ -656,6 +628,22 @@ mod tests {
             budget,
             penalty_rate: 1.0,
         }
+    }
+
+    /// [`run`] under `kind` followed by [`check_run`].
+    fn checked(
+        jobs: &[Job],
+        kind: PolicyKind,
+        cfg: &RunConfig,
+        fault: Option<&FaultConfig>,
+    ) -> (RunOutput, Vec<Violation>) {
+        let opts = RunOptions {
+            fault,
+            ..RunOptions::default()
+        };
+        let out = run(jobs, build_policy(kind, cfg.econ, cfg.nodes), cfg, opts).unwrap();
+        let violations = check_run(jobs, cfg, &out.outcomes, &out.result);
+        (out, violations)
     }
 
     fn workload(n: u32) -> Vec<Job> {
@@ -674,13 +662,9 @@ mod tests {
             };
             for kind in kinds {
                 let cfg = RunConfig { nodes: 16, econ };
-                let checked = simulate_checked(&jobs, kind, &cfg, None);
-                assert!(
-                    checked.is_clean(),
-                    "{kind} {econ}: {:?}",
-                    checked.violations
-                );
-                assert!(checked.events > 0);
+                let (out, violations) = checked(&jobs, kind, &cfg, None);
+                assert!(violations.is_empty(), "{kind} {econ}: {violations:?}");
+                assert!(!out.outcomes.is_empty());
             }
         }
     }
@@ -694,9 +678,9 @@ mod tests {
                 nodes: 8,
                 econ: EconomicModel::BidBased,
             };
-            let checked = simulate_checked(&jobs, kind, &cfg, Some(&fault));
-            assert!(checked.is_clean(), "{kind}: {:?}", checked.violations);
-            assert!(checked.result.metrics.node_failures > 0);
+            let (out, violations) = checked(&jobs, kind, &cfg, Some(&fault));
+            assert!(violations.is_empty(), "{kind}: {violations:?}");
+            assert!(out.result.metrics.node_failures > 0);
         }
     }
 
@@ -708,12 +692,9 @@ mod tests {
             econ: EconomicModel::CommodityMarket,
         };
         let plain = simulate(&jobs, PolicyKind::SjfBf, &cfg);
-        let checked = simulate_checked(&jobs, PolicyKind::SjfBf, &cfg, None);
-        assert_eq!(plain.records, checked.result.records);
-        assert_eq!(
-            plain.metrics.objectives(),
-            checked.result.metrics.objectives()
-        );
+        let (out, _) = checked(&jobs, PolicyKind::SjfBf, &cfg, None);
+        assert_eq!(plain.records, out.result.records);
+        assert_eq!(plain.metrics.objectives(), out.result.metrics.objectives());
     }
 
     #[test]

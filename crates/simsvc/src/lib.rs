@@ -7,6 +7,12 @@
 //! SLA, reliability, profitability) are computed, plus per-job
 //! [`JobRecord`]s for drill-down.
 //!
+//! Every run goes through one driver, [`run`]. Its [`RunOptions`] add
+//! fault injection ([`FaultConfig`]), a watchdog ([`RunBudget`]) and a
+//! streaming [`RunObserver`]; tracing ([`run_traced`]) and invariant
+//! checking ([`check_run`]) are passes over its [`RunOutput`]. [`simulate`]
+//! is the one-line convenience for a built-in policy:
+//!
 //! ```
 //! use ccs_simsvc::{simulate, RunConfig};
 //! use ccs_policies::PolicyKind;
@@ -38,17 +44,13 @@ pub mod trace;
 
 pub use budget::{BudgetExceeded, BudgetKind, RunBudget};
 pub use fault::{Degradation, FaultConfig};
-pub use invariant::{
-    check_run, simulate_checked, simulate_checked_guarded, simulate_checked_with, CheckedRun,
-    Violation,
-};
+pub use invariant::{check_run, simulate_checked, CheckedRun, Violation};
 pub use metrics::RunMetrics;
 pub use observe::{LiveRunStats, RunObserver};
 pub use record::JobRecord;
 pub use runner::{
-    simulate, simulate_counted, simulate_faulty, simulate_faulty_counted, simulate_faulty_with,
-    simulate_guarded, simulate_guarded_with, simulate_observed, simulate_observed_with,
-    simulate_with, RunConfig, RunResult,
+    run, simulate, simulate_counted, simulate_faulty_counted, simulate_guarded_with, RunConfig,
+    RunOptions, RunOutput, RunResult,
 };
 pub use timeline::{TimePoint, Timeline};
-pub use trace::{simulate_traced, simulate_traced_faulty, simulate_traced_with, RunTrace};
+pub use trace::{run_traced, RunTrace};

@@ -214,8 +214,8 @@ impl RunObserver for LiveRunStats {
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
-    use crate::runner::{simulate, simulate_faulty, simulate_observed};
-    use ccs_policies::PolicyKind;
+    use crate::runner::{run, simulate, RunOptions, RunResult};
+    use ccs_policies::{build_policy, PolicyKind};
     use ccs_workload::Urgency;
 
     fn job(id: JobId, submit: f64, runtime: f64, deadline: f64, procs: u32, budget: f64) -> Job {
@@ -230,6 +230,23 @@ mod tests {
             budget,
             penalty_rate: 1.0,
         }
+    }
+
+    /// [`run`] under `kind` with `fault`, feeding `live` when given.
+    fn run_kind(
+        jobs: &[Job],
+        kind: PolicyKind,
+        cfg: &RunConfig,
+        fault: Option<&FaultConfig>,
+        live: Option<&mut LiveRunStats>,
+    ) -> RunResult {
+        let opts = RunOptions {
+            fault,
+            observer: live.map(|l| l as &mut dyn RunObserver),
+            ..RunOptions::default()
+        };
+        let policy = build_policy(kind, cfg.econ, cfg.nodes);
+        run(jobs, policy, cfg, opts).unwrap().result
     }
 
     fn fleet(n: u64) -> Vec<Job> {
@@ -258,7 +275,7 @@ mod tests {
             for kind in kinds {
                 let cfg = RunConfig { nodes: 16, econ };
                 let mut live = LiveRunStats::new(&jobs, &cfg);
-                let (observed, _) = simulate_observed(&jobs, kind, &cfg, None, &mut live);
+                let observed = run_kind(&jobs, kind, &cfg, None, Some(&mut live));
                 assert_eq!(
                     live.metrics(),
                     &observed.metrics,
@@ -279,7 +296,7 @@ mod tests {
         };
         let plain = simulate(&jobs, PolicyKind::SjfBf, &cfg);
         let mut live = LiveRunStats::new(&jobs, &cfg);
-        let (observed, _) = simulate_observed(&jobs, PolicyKind::SjfBf, &cfg, None, &mut live);
+        let observed = run_kind(&jobs, PolicyKind::SjfBf, &cfg, None, Some(&mut live));
         assert_eq!(plain.records, observed.records);
         assert_eq!(plain.metrics, observed.metrics);
     }
@@ -296,8 +313,8 @@ mod tests {
                 econ: EconomicModel::BidBased,
             };
             let mut live = LiveRunStats::new(&jobs, &cfg);
-            let (observed, _) = simulate_observed(&jobs, kind, &cfg, Some(&fault), &mut live);
-            let batch = simulate_faulty(&jobs, kind, &cfg, &fault);
+            let observed = run_kind(&jobs, kind, &cfg, Some(&fault), Some(&mut live));
+            let batch = run_kind(&jobs, kind, &cfg, Some(&fault), None);
             assert_eq!(batch.records, observed.records, "{kind}");
             assert_eq!(live.metrics(), &observed.metrics, "{kind}");
             assert!(
@@ -320,7 +337,7 @@ mod tests {
             econ: EconomicModel::CommodityMarket,
         };
         let mut live = LiveRunStats::new(&jobs, &cfg);
-        let (res, _) = simulate_observed(&jobs, PolicyKind::FcfsBf, &cfg, None, &mut live);
+        let res = run_kind(&jobs, PolicyKind::FcfsBf, &cfg, None, Some(&mut live));
         assert!(res.metrics.fulfilled >= 1);
         assert!(live.realtime_risk().observed() >= 1);
         assert!(

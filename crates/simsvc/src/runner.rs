@@ -34,7 +34,9 @@ impl Default for RunConfig {
 pub struct RunResult {
     /// Aggregate metrics (inputs to the four objectives).
     pub metrics: RunMetrics,
-    /// Per-job outcome records, indexed in submission order.
+    /// Per-job outcome records, one per job, sorted by job id (not by
+    /// submit time: ids need not follow submission order). The trace layer
+    /// binary-searches this order.
     pub records: Vec<JobRecord>,
     /// Billing ledger: one invoice per decided job, in decision order.
     pub ledger: Ledger,
@@ -43,157 +45,103 @@ pub struct RunResult {
 /// Simulates `jobs` (must be sorted by submit time) under `kind` and returns
 /// the run result. Deterministic: identical inputs give identical outputs.
 pub fn simulate(jobs: &[Job], kind: PolicyKind, cfg: &RunConfig) -> RunResult {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_named(jobs, policy, cfg, kind.name())
+    run(
+        jobs,
+        build_policy(kind, cfg.econ, cfg.nodes),
+        cfg,
+        RunOptions::default(),
+    )
+    .expect(UNBUDGETED)
+    .result
 }
 
-/// Like [`simulate`], but with a caller-constructed policy — the hook for
-/// downstream users evaluating their own [`Policy`] implementations.
-pub fn simulate_with(jobs: &[Job], policy: Box<dyn Policy>, cfg: &RunConfig) -> RunResult {
-    simulate_named(jobs, policy, cfg, "custom")
-}
-
-/// Like [`simulate`], but also reports how many simulation outcomes the run
-/// produced — the per-cell event count behind the experiment grid's
-/// events/sec telemetry. The [`RunResult`] is byte-identical to
-/// [`simulate`]'s.
+/// [`run`] under `kind` with no options, plus the outcome-event count.
+/// Kept only for `perfbench/`; delete it in the next change that may edit
+/// the benchmark.
 pub fn simulate_counted(jobs: &[Job], kind: PolicyKind, cfg: &RunConfig) -> (RunResult, u64) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    let (result, out) = run_with_outcomes(jobs, policy, cfg, kind.name());
-    (result, out.len() as u64)
+    run(
+        jobs,
+        build_policy(kind, cfg.econ, cfg.nodes),
+        cfg,
+        RunOptions::default(),
+    )
+    .map(|o| (o.result, o.outcomes.len() as u64))
+    .expect(UNBUDGETED)
 }
 
-/// Like [`simulate_faulty`], but also reports the outcome-event count (see
-/// [`simulate_counted`]).
+/// [`run`] under `kind` with failures injected, plus the outcome-event
+/// count. Kept only for `perfbench/`; delete it in the next change that may
+/// edit the benchmark.
 pub fn simulate_faulty_counted(
     jobs: &[Job],
     kind: PolicyKind,
     cfg: &RunConfig,
     fault: &FaultConfig,
 ) -> (RunResult, u64) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    let (result, out) = run_with_outcomes_faulty(jobs, policy, cfg, kind.name(), Some(fault));
-    (result, out.len() as u64)
+    run(
+        jobs,
+        build_policy(kind, cfg.econ, cfg.nodes),
+        cfg,
+        RunOptions {
+            fault: Some(fault),
+            ..RunOptions::default()
+        },
+    )
+    .map(|o| (o.result, o.outcomes.len() as u64))
+    .expect(UNBUDGETED)
 }
 
-/// Like [`simulate`], but with node failures injected per `fault` (see
-/// [`FaultConfig`]). With a failure rate of zero — i.e. never calling this
-/// and using [`simulate`] — results are byte-identical to earlier releases:
-/// the fault machinery is entirely additive.
-///
-/// Panics if `fault` fails [`FaultConfig::validate`]; CLIs should validate
-/// first and report a configuration error instead.
-pub fn simulate_faulty(
-    jobs: &[Job],
-    kind: PolicyKind,
-    cfg: &RunConfig,
-    fault: &FaultConfig,
-) -> RunResult {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    run_with_outcomes_faulty(jobs, policy, cfg, kind.name(), Some(fault)).0
-}
-
-/// Like [`simulate_with`], but with node failures injected per `fault`.
-pub fn simulate_faulty_with(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    fault: &FaultConfig,
-) -> RunResult {
-    run_with_outcomes_faulty(jobs, policy, cfg, "custom", Some(fault)).0
-}
-
-/// Like [`simulate_faulty_counted`] (pass `fault: None` for a failure-free
-/// run), but under a cooperative [`RunBudget`] watchdog: the run is
-/// cancelled into [`BudgetExceeded`] instead of hanging when it exhausts
-/// its wall-clock or event bound. See [`crate::budget`].
-pub fn simulate_guarded(
-    jobs: &[Job],
-    kind: PolicyKind,
-    cfg: &RunConfig,
-    fault: Option<&FaultConfig>,
-    budget: RunBudget,
-) -> Result<(RunResult, u64), BudgetExceeded> {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_guarded_with(jobs, policy, cfg, kind.name(), fault, budget)
-}
-
-/// Like [`simulate_counted`] (pass `fault: Some(..)` for failure
-/// injection), but feeding every [`Outcome`] to `observer` *as the run
-/// produces it* — the streaming-analytics hook. The observer is strictly
-/// read-only with respect to simulation state, so the returned
-/// [`RunResult`] is byte-identical to the observer-free run.
-///
-/// During fault injection the observer sees the raw live stream, *before*
-/// the accepted→restarted / rejected→aborted reconciliation post-pass;
-/// see [`RunObserver`] for the contract.
-pub fn simulate_observed(
-    jobs: &[Job],
-    kind: PolicyKind,
-    cfg: &RunConfig,
-    fault: Option<&FaultConfig>,
-    observer: &mut dyn RunObserver,
-) -> (RunResult, u64) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_observed_with(jobs, policy, cfg, kind.name(), fault, observer)
-}
-
-/// Like [`simulate_observed`], but with a caller-constructed policy. `name`
-/// labels the per-policy telemetry series.
-pub fn simulate_observed_with(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-    observer: &mut dyn RunObserver,
-) -> (RunResult, u64) {
-    let (result, out) =
-        run_with_outcomes_observed(jobs, policy, cfg, name, fault, None, Some(observer))
-            .expect("unbudgeted runs cannot exceed a budget");
-    (result, out.len() as u64)
-}
-
-/// Like [`simulate_guarded`], but with a caller-constructed policy. `name`
-/// labels the per-policy telemetry series.
+/// [`run`] with a fault and a budget, plus the outcome-event count; `_name`
+/// is ignored (the telemetry label is [`Policy::name`]). Kept only for
+/// `perfbench/`; delete it in the next change that may edit the benchmark.
 pub fn simulate_guarded_with(
     jobs: &[Job],
     policy: Box<dyn Policy>,
     cfg: &RunConfig,
-    name: &str,
+    _name: &str,
     fault: Option<&FaultConfig>,
     budget: RunBudget,
 ) -> Result<(RunResult, u64), BudgetExceeded> {
-    let guard = if budget.is_unlimited() {
-        None
-    } else {
-        Some(budget)
-    };
-    let (result, out) = run_with_outcomes_guarded(jobs, policy, cfg, name, fault, guard)?;
-    Ok((result, out.len() as u64))
+    run(
+        jobs,
+        policy,
+        cfg,
+        RunOptions {
+            fault,
+            budget,
+            observer: None,
+        },
+    )
+    .map(|o| (o.result, o.outcomes.len() as u64))
 }
 
-/// Shared driver: `name` labels the per-policy telemetry series.
-///
-/// Instrumentation never feeds back into simulation state, so results are
-/// bit-identical whether or not the `telemetry` feature is compiled in;
-/// with the feature off every guard below is a zero-sized no-op.
-fn simulate_named(jobs: &[Job], policy: Box<dyn Policy>, cfg: &RunConfig, name: &str) -> RunResult {
-    run_with_outcomes(jobs, policy, cfg, name).0
+/// Panic message for runs whose [`RunBudget`] is unlimited.
+pub(crate) const UNBUDGETED: &str = "unbudgeted runs cannot exceed a budget";
+
+/// The optional layers of one [`run`]. `Default` turns all of them off.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Node failures to inject (see [`FaultConfig`]); `None` runs on a
+    /// cluster that never fails. Panics in [`run`] if the config fails
+    /// [`FaultConfig::validate`]; CLIs should validate first.
+    pub fault: Option<&'a FaultConfig>,
+    /// Cooperative watchdog bounds (see [`crate::budget`]);
+    /// [`RunBudget::unlimited`] runs without a watchdog.
+    pub budget: RunBudget,
+    /// Receives every [`Outcome`] as the run produces it (see
+    /// [`RunObserver`]).
+    pub observer: Option<&'a mut dyn RunObserver>,
 }
 
-/// The full driver, also yielding the raw outcome stream — the trace layer
-/// synthesises per-job lifecycles from it after the run (see
-/// [`crate::trace`]). The policy (and with it any DES event queues it owns)
-/// is dropped *before* this returns, so a kernel-span capture window opened
-/// around this call observes the queue-stat flushes.
-pub(crate) fn run_with_outcomes(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-) -> (RunResult, Vec<Outcome>) {
-    run_with_outcomes_faulty(jobs, policy, cfg, name, None)
+/// Everything one [`run`] produces.
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// Metrics, per-job records and the ledger.
+    pub result: RunResult,
+    /// The reconciled outcome stream the result was folded from; its length
+    /// is the run's event count. The trace layer ([`crate::trace`]) and the
+    /// invariant checker ([`crate::check_run`]) are passes over it.
+    pub outcomes: Vec<Outcome>,
 }
 
 /// Drain-phase safety valve: after this many *consecutive* failure events
@@ -216,62 +164,48 @@ const DRAIN_STAGNATION_CAP: u64 = 100_000;
 /// not panicking — keeps the run's metrics defined either way.
 const DRAIN_FAILURE_EVENT_CAP: u64 = 10_000_000;
 
-/// The driver, optionally interleaving a node failure/repair process with
-/// the workload. `fault: None` takes exactly the legacy code path — outcome
-/// for outcome identical to pre-fault releases.
-pub(crate) fn run_with_outcomes_faulty(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-) -> (RunResult, Vec<Outcome>) {
-    run_with_outcomes_guarded(jobs, policy, cfg, name, fault, None)
-        .expect("unbudgeted runs cannot exceed a budget")
-}
-
-/// The full driver with an optional cooperative [`RunBudget`] watchdog.
+/// Simulates `jobs` (must be sorted by submit time) under `policy`: the one
+/// run driver every entry point, trace and check goes through. The
+/// per-policy telemetry series is labelled with [`Policy::name`].
 ///
-/// `budget: None` is the legacy path, checked nowhere and byte-identical to
-/// earlier releases. With a budget, the watchdog ticks once per driver step
-/// — each submission, each failure delivery, each drain advance — and the
-/// run is cancelled into [`BudgetExceeded`] the moment a bound trips. The
-/// budgeted drain steps event by event (instead of one blanket
-/// `Policy::drain`) so a policy whose event horizon never empties is caught
-/// between events rather than hanging inside the policy; for well-behaved
-/// policies the stepped drain processes the same events in the same order,
-/// so results are identical either way.
-pub(crate) fn run_with_outcomes_guarded(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-    budget: Option<RunBudget>,
-) -> Result<(RunResult, Vec<Outcome>), BudgetExceeded> {
-    run_with_outcomes_observed(jobs, policy, cfg, name, fault, budget, None)
-}
-
-/// The innermost driver: [`run_with_outcomes_guarded`] plus an optional
-/// [`RunObserver`] fed the outcome stream at a watermark between driver
-/// steps. `observer: None` is the legacy path — the watermark bookkeeping
-/// is a single `usize` compare per step and no outcome is ever cloned, so
-/// the hot path is untouched (pinned by the `stream_stats` bench and the
-/// perf-snapshot hashes).
+/// **Byte identity.** `fault` is the only option that changes the
+/// simulation, and `fault: None` takes the failure-free path, outcome for
+/// outcome identical to the simulator before fault injection existed. The
+/// other two options only add work beside the simulation, never inside it,
+/// so [`RunOutput`] is identical with them on or off:
+/// - `budget` ticks a watchdog once per driver step (each submission,
+///   failure delivery and drain advance) and cancels the run into
+///   [`BudgetExceeded`] the moment a bound trips. The budgeted drain steps
+///   event by event, instead of one blanket [`Policy::drain`], so a policy
+///   whose event horizon never empties is caught between events rather
+///   than hanging inside the policy; for well-behaved policies the stepped
+///   drain processes the same events in the same order. An unlimited budget
+///   creates no watchdog and keeps the blanket drain.
+/// - `observer` is fed the outcomes appended since the last driver step;
+///   it only reads them. With `None` the watermark bookkeeping is a single
+///   `usize` store per step and no outcome is cloned, so the hot path is
+///   untouched (pinned by the `stream_stats` bench and the perf-snapshot
+///   hashes). The observer sees the raw live stream, *before* the fault
+///   reconciliation post-pass rewrites it: restarts still look like
+///   re-acceptances (see [`RunObserver`]).
 ///
-/// The observer is fed *before* [`reconcile_fault_outcomes`] rewrites the
-/// stream: it consumes the raw live view (restarts still look like
-/// re-acceptances) and applies its own reconciliation if it wants
-/// batch-equivalent accounting.
-fn run_with_outcomes_observed(
+/// Instrumentation never feeds back into simulation state either, so
+/// results are also identical whether or not the `telemetry` or `profile`
+/// features are compiled in. The policy (and with it any DES event queues
+/// it owns) is dropped *before* this returns, so a kernel-span capture
+/// window opened around the call observes the queue-stat flushes.
+pub fn run(
     jobs: &[Job],
     mut policy: Box<dyn Policy>,
     cfg: &RunConfig,
-    name: &str,
-    fault: Option<&FaultConfig>,
-    budget: Option<RunBudget>,
-    mut observer: Option<&mut dyn RunObserver>,
-) -> Result<(RunResult, Vec<Outcome>), BudgetExceeded> {
+    opts: RunOptions<'_>,
+) -> Result<RunOutput, BudgetExceeded> {
+    let RunOptions {
+        fault,
+        budget,
+        mut observer,
+    } = opts;
+    let name = policy.name();
     // Feeds `out[*fed..]` — the outcomes appended since the last call — to
     // the observer, in stream order.
     fn feed(observer: &mut Option<&mut dyn RunObserver>, out: &[Outcome], fed: &mut usize) {
@@ -294,7 +228,7 @@ fn run_with_outcomes_observed(
             .unwrap_or_else(|e| panic!("invalid FaultConfig: {e}"));
         FaultDriver::new(jobs, f, cfg.nodes)
     });
-    let mut watchdog = budget.map(Watchdog::new);
+    let mut watchdog = (!budget.is_unlimited()).then(|| Watchdog::new(budget));
     let mut out: Vec<Outcome> = Vec::with_capacity(jobs.len() * 4);
     let mut prev_submit = f64::NEG_INFINITY;
     for job in jobs {
@@ -405,13 +339,19 @@ fn run_with_outcomes_observed(
             .add(result.metrics.submitted as u64);
         t.counter("runner.jobs.accepted")
             .add(result.metrics.accepted as u64);
-        t.counter("runner.jobs.rejected")
-            .add((result.metrics.submitted - result.metrics.accepted) as u64);
+        // Saturating: a broken policy that accepts a job twice (the chaos
+        // fixtures) can push `accepted` past `submitted`.
+        let m = &result.metrics;
+        let rejected = m.submitted.saturating_sub(m.accepted);
+        t.counter("runner.jobs.rejected").add(rejected as u64);
         t.counter("runner.jobs.fulfilled")
             .add(result.metrics.fulfilled as u64);
         t.counter("runner.runs.completed").inc();
     }
-    Ok((result, out))
+    Ok(RunOutput {
+        result,
+        outcomes: out,
+    })
 }
 
 /// Owns the failure timeline of one run and delivers its events to the
@@ -706,6 +646,7 @@ fn collect(jobs: &[Job], cfg: &RunConfig, out: &[Outcome]) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::LiveRunStats;
     use ccs_workload::Urgency;
 
     fn job(id: JobId, submit: f64, runtime: f64, deadline: f64, procs: u32, budget: f64) -> Job {
@@ -842,6 +783,79 @@ mod tests {
         FaultConfig::exponential(seed, mtbf, mttr)
     }
 
+    /// [`run`] under `kind` with `fault` injected.
+    fn faulty_run(
+        jobs: &[Job],
+        kind: PolicyKind,
+        cfg: &RunConfig,
+        fault: &FaultConfig,
+    ) -> RunResult {
+        let opts = RunOptions {
+            fault: Some(fault),
+            ..RunOptions::default()
+        };
+        let policy = build_policy(kind, cfg.econ, cfg.nodes);
+        run(jobs, policy, cfg, opts).unwrap().result
+    }
+
+    #[test]
+    fn options_never_change_the_run() {
+        // Every option combination against the plain run: the fault sets
+        // the weather, and neither the budget nor the observer may change
+        // a byte of the result or the outcome log.
+        let jobs: Vec<Job> = (0..40)
+            .map(|i| job(i, i as f64 * 70.0, 500.0, 5000.0, 1 + (i % 6), 1e5))
+            .collect();
+        let storm = fault(13, 2500.0, 600.0);
+        let generous = RunBudget {
+            max_wall_secs: Some(600.0),
+            max_events: Some(10_000_000),
+        };
+        for econ in EconomicModel::ALL {
+            let kinds = match econ {
+                EconomicModel::CommodityMarket => PolicyKind::COMMODITY,
+                EconomicModel::BidBased => PolicyKind::BID_BASED,
+            };
+            for kind in kinds {
+                let cfg = RunConfig { nodes: 16, econ };
+                for fault in [None, Some(&storm)] {
+                    let base = RunOptions {
+                        fault,
+                        ..RunOptions::default()
+                    };
+                    let plain = run(&jobs, build_policy(kind, econ, cfg.nodes), &cfg, base)
+                        .expect("unbudgeted");
+                    let plain_json = serde_json::to_string(&plain.result).unwrap();
+                    if fault.is_some() {
+                        assert!(plain.result.metrics.node_failures > 0, "{kind}: no storm");
+                    }
+                    for budget in [RunBudget::unlimited(), generous] {
+                        for observe in [false, true] {
+                            let mut live = LiveRunStats::new(&jobs, &cfg);
+                            let opts = RunOptions {
+                                fault,
+                                budget,
+                                observer: observe.then_some(&mut live as &mut dyn RunObserver),
+                            };
+                            let row = format!("{kind} {econ} {fault:?} {budget:?} {observe}");
+                            let out = run(&jobs, build_policy(kind, econ, cfg.nodes), &cfg, opts)
+                                .expect(&row);
+                            assert_eq!(
+                                serde_json::to_string(&out.result).unwrap(),
+                                plain_json,
+                                "{row}"
+                            );
+                            assert_eq!(out.outcomes, plain.outcomes, "{row}");
+                            if observe {
+                                assert_eq!(live.metrics(), &plain.result.metrics, "{row}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn distant_failures_leave_results_untouched() {
         // MTBF far beyond the simulated horizon: the fault-aware driver must
@@ -857,7 +871,7 @@ mod tests {
             for kind in kinds {
                 let cfg = RunConfig { nodes: 16, econ };
                 let plain = simulate(&jobs, kind, &cfg);
-                let faulty = simulate_faulty(&jobs, kind, &cfg, &fault(9, 1e15, 3600.0));
+                let faulty = faulty_run(&jobs, kind, &cfg, &fault(9, 1e15, 3600.0));
                 assert_eq!(plain.records, faulty.records, "{kind} {econ}");
                 assert_eq!(plain.metrics.objectives(), faulty.metrics.objectives());
                 assert_eq!(faulty.metrics.node_failures, 0);
@@ -882,8 +896,8 @@ mod tests {
             };
             let cfg = RunConfig { nodes: 8, econ };
             let f = fault(3, 2000.0, 500.0);
-            let a = simulate_faulty(&jobs, kind, &cfg, &f);
-            let b = simulate_faulty(&jobs, kind, &cfg, &f);
+            let a = faulty_run(&jobs, kind, &cfg, &f);
+            let b = faulty_run(&jobs, kind, &cfg, &f);
             assert_eq!(a.records, b.records, "{kind}");
             assert_eq!(a.metrics.objectives(), b.metrics.objectives());
             assert!(a.metrics.node_failures > 0, "{kind}: fault rate too low");
@@ -902,7 +916,7 @@ mod tests {
                 nodes: 8,
                 econ: EconomicModel::BidBased,
             };
-            let res = simulate_faulty(&jobs, kind, &cfg, &fault(11, 1500.0, 2000.0));
+            let res = faulty_run(&jobs, kind, &cfg, &fault(11, 1500.0, 2000.0));
             let m = &res.metrics;
             assert_eq!(res.records.len(), jobs.len(), "{kind}");
             assert!(m.node_failures > 0 && m.node_repairs > 0, "{kind}");
@@ -938,8 +952,8 @@ mod tests {
         restart.degradation = Degradation::Restart;
         let mut resume = restart;
         resume.degradation = Degradation::ResumePenalty { penalty: 0.1 };
-        let a = simulate_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &restart);
-        let b = simulate_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &resume);
+        let a = faulty_run(&jobs, PolicyKind::FcfsBf, &cfg, &restart);
+        let b = faulty_run(&jobs, PolicyKind::FcfsBf, &cfg, &resume);
         assert!(a.metrics.interrupted > 0);
         assert!(
             b.metrics.fulfilled >= a.metrics.fulfilled,
@@ -955,7 +969,7 @@ mod tests {
         let jobs = vec![job(0, 0.0, 10.0, 100.0, 1, 1.0)];
         let mut f = fault(1, 100.0, 10.0);
         f.mtbf = ccs_des::FailureDist::Exponential { mean: f64::NAN };
-        simulate_faulty(&jobs, PolicyKind::FcfsBf, &RunConfig::default(), &f);
+        faulty_run(&jobs, PolicyKind::FcfsBf, &RunConfig::default(), &f);
     }
 
     #[test]

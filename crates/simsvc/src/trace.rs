@@ -1,22 +1,22 @@
 //! Per-job SLA lifecycle traces, synthesised from a run's outcome stream.
 //!
-//! [`simulate_traced`] runs the standard simulator and then builds a
-//! causally ordered [`RunTrace`]: for every job, `JobSubmitted` →
+//! [`run_traced`] calls the run driver ([`run`]) and then builds a causally
+//! ordered [`RunTrace`] from its output: for every job, `JobSubmitted` →
 //! `BidEvaluated` → `SlaAccepted`/`SlaRejected` → `JobStarted` →
 //! `JobCompleted` (→ `SlaViolated` when the deadline was missed). Because
 //! the trace is derived *after* the run from data the runner already
 //! produces ([`Outcome`]s and [`JobRecord`](crate::JobRecord)s), tracing
 //! adds nothing to the simulation hot path and the results are identical
-//! to an untraced [`simulate`](crate::simulate) call.
+//! to an untraced [`run`].
 //!
 //! DES kernel spans are the one exception: they are captured live when the
 //! policy's event queues flush their stats, which requires both the
 //! `telemetry` and `trace` cargo features. Without them, traces simply
 //! carry no `KernelSpan` records.
 
-use crate::fault::FaultConfig;
-use crate::runner::{run_with_outcomes, run_with_outcomes_faulty, RunConfig, RunResult};
-use ccs_policies::{build_policy, Outcome, Policy, PolicyKind};
+use crate::budget::BudgetExceeded;
+use crate::runner::{run, RunConfig, RunOptions, RunOutput, RunResult};
+use ccs_policies::{Outcome, Policy};
 use ccs_telemetry::trace::{
     begin_kernel_capture, take_kernel_capture, TraceEvent, TraceRecord, TraceSink,
     TRACE_SCHEMA_VERSION,
@@ -44,52 +44,25 @@ pub struct RunTrace {
     pub dropped: u64,
 }
 
-/// Like [`simulate`](crate::simulate), but also returns the run's
-/// [`RunTrace`]. The [`RunResult`] is identical to an untraced run.
-pub fn simulate_traced(jobs: &[Job], kind: PolicyKind, cfg: &RunConfig) -> (RunResult, RunTrace) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    simulate_traced_with_name(jobs, policy, cfg, kind.name())
-}
-
-/// Like [`simulate_with`](crate::simulate_with), but also returns the
-/// trace. For caller-constructed policies; the trace is labelled `"custom"`.
-pub fn simulate_traced_with(
+/// [`run`] plus the run's [`RunTrace`], labelled with [`Policy::name`]. The
+/// [`RunOutput`] is identical to the untraced run's: this only opens the
+/// kernel-span capture window around [`run`] and then synthesises the
+/// trace from its output.
+pub fn run_traced(
     jobs: &[Job],
     policy: Box<dyn Policy>,
     cfg: &RunConfig,
-) -> (RunResult, RunTrace) {
-    simulate_traced_with_name(jobs, policy, cfg, "custom")
-}
-
-/// Like [`simulate_faulty`](crate::simulate_faulty), but also returns the
-/// trace, including `node_fail` / `node_repair` / `job_restart` records.
-pub fn simulate_traced_faulty(
-    jobs: &[Job],
-    kind: PolicyKind,
-    cfg: &RunConfig,
-    fault: &FaultConfig,
-) -> (RunResult, RunTrace) {
-    let policy = build_policy(kind, cfg.econ, cfg.nodes);
-    begin_kernel_capture();
-    let (result, outcomes) = run_with_outcomes_faulty(jobs, policy, cfg, kind.name(), Some(fault));
-    let kernel_spans = take_kernel_capture();
-    let trace = synthesise(jobs, cfg, kind.name(), &outcomes, &result, kernel_spans);
-    (result, trace)
-}
-
-fn simulate_traced_with_name(
-    jobs: &[Job],
-    policy: Box<dyn Policy>,
-    cfg: &RunConfig,
-    name: &str,
-) -> (RunResult, RunTrace) {
+    opts: RunOptions<'_>,
+) -> Result<(RunOutput, RunTrace), BudgetExceeded> {
+    let name = policy.name();
     // The driver drops the policy — and with it the DES event queues that
     // flush kernel stats — before returning, inside this capture window.
     begin_kernel_capture();
-    let (result, outcomes) = run_with_outcomes(jobs, policy, cfg, name);
+    let out = run(jobs, policy, cfg, opts);
     let kernel_spans = take_kernel_capture();
-    let trace = synthesise(jobs, cfg, name, &outcomes, &result, kernel_spans);
-    (result, trace)
+    let out = out?;
+    let trace = synthesise(jobs, cfg, name, &out.outcomes, &out.result, kernel_spans);
+    Ok((out, trace))
 }
 
 /// Builds the causally ordered record stream for one run.
@@ -249,9 +222,27 @@ fn synthesise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultConfig;
     use ccs_economy::EconomicModel;
+    use ccs_policies::{build_policy, PolicyKind};
     use ccs_telemetry::trace::check_causal_order;
     use ccs_workload::Urgency;
+
+    /// [`run_traced`] under `kind`, optionally with `fault`.
+    fn traced(
+        jobs: &[Job],
+        kind: PolicyKind,
+        cfg: &RunConfig,
+        fault: Option<&FaultConfig>,
+    ) -> (RunResult, RunTrace) {
+        let policy = build_policy(kind, cfg.econ, cfg.nodes);
+        let opts = RunOptions {
+            fault,
+            ..RunOptions::default()
+        };
+        let (out, trace) = run_traced(jobs, policy, cfg, opts).unwrap();
+        (out.result, trace)
+    }
 
     fn job(id: JobId, submit: f64, runtime: f64, deadline: f64, procs: u32, budget: f64) -> Job {
         Job {
@@ -277,10 +268,38 @@ mod tests {
             econ: EconomicModel::CommodityMarket,
         };
         let plain = crate::simulate(&jobs, PolicyKind::SjfBf, &cfg);
-        let (traced, trace) = simulate_traced(&jobs, PolicyKind::SjfBf, &cfg);
+        let (traced, trace) = traced(&jobs, PolicyKind::SjfBf, &cfg, None);
         assert_eq!(plain.records, traced.records);
         assert_eq!(trace.submitted, 40);
         assert_eq!(trace.policy, "SJF-BF");
+        check_causal_order(&trace.records).unwrap();
+    }
+
+    #[test]
+    fn records_are_id_sorted_when_ids_do_not_follow_submit_order() {
+        // Ids are a permutation of submit order; `synthesise` binary-searches
+        // `result.records`, so they must come back sorted by id.
+        let jobs: Vec<Job> = (0..20)
+            .map(|i| {
+                job(
+                    (i * 7) % 20,
+                    i as f64 * 50.0,
+                    300.0,
+                    3000.0,
+                    1 + (i % 4),
+                    1e5,
+                )
+            })
+            .collect();
+        let cfg = RunConfig {
+            nodes: 8,
+            econ: EconomicModel::BidBased,
+        };
+        let (result, trace) = traced(&jobs, PolicyKind::EdfBf, &cfg, None);
+        let ids: Vec<JobId> = result.records.iter().map(|r| r.id).collect();
+        assert_eq!(ids, (0..20).collect::<Vec<JobId>>());
+        assert!(result.metrics.fulfilled > 0);
+        assert_eq!(trace.submitted, 20);
         check_causal_order(&trace.records).unwrap();
     }
 
@@ -293,7 +312,7 @@ mod tests {
             nodes: 8,
             econ: EconomicModel::BidBased,
         };
-        let (result, trace) = simulate_traced(&jobs, PolicyKind::Libra, &cfg);
+        let (result, trace) = traced(&jobs, PolicyKind::Libra, &cfg, None);
         let count = |kind: &str| {
             trace
                 .records
@@ -324,8 +343,8 @@ mod tests {
             nodes: 8,
             econ: EconomicModel::CommodityMarket,
         };
-        let fault = crate::FaultConfig::exponential(11, 1500.0, 2000.0);
-        let (result, trace) = simulate_traced_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &fault);
+        let fault = FaultConfig::exponential(11, 1500.0, 2000.0);
+        let (result, trace) = traced(&jobs, PolicyKind::FcfsBf, &cfg, Some(&fault));
         check_causal_order(&trace.records).unwrap();
         let count = |kind: &str| {
             trace
@@ -339,7 +358,12 @@ mod tests {
         assert_eq!(count("job_restart"), result.metrics.restarts);
         assert!(result.metrics.node_failures > 0);
         // The traced result is identical to the untraced faulty run.
-        let plain = crate::simulate_faulty(&jobs, PolicyKind::FcfsBf, &cfg, &fault);
+        let policy = build_policy(PolicyKind::FcfsBf, cfg.econ, cfg.nodes);
+        let opts = RunOptions {
+            fault: Some(&fault),
+            ..RunOptions::default()
+        };
+        let plain = run(&jobs, policy, &cfg, opts).unwrap().result;
         assert_eq!(plain.records, result.records);
     }
 
@@ -350,7 +374,7 @@ mod tests {
             nodes: 4,
             econ: EconomicModel::CommodityMarket,
         };
-        let (_, trace) = simulate_traced(&jobs, PolicyKind::FcfsBf, &cfg);
+        let (_, trace) = traced(&jobs, PolicyKind::FcfsBf, &cfg, None);
         let spans = trace
             .records
             .iter()

@@ -157,14 +157,20 @@ proptest! {
         mttr in 100.0f64..10_000.0,
         resume in any::<bool>(),
     ) {
-        use ccs_simsvc::{simulate_faulty, Degradation, FaultConfig};
+        use ccs_policies::build_policy;
+        use ccs_simsvc::{run, Degradation, FaultConfig, RunOptions};
         let mut fault = FaultConfig::exponential(seed, mtbf, mttr);
         if resume {
             fault.degradation = Degradation::ResumePenalty { penalty: 0.1 };
         }
         let cfg = RunConfig { nodes: 16, econ: EconomicModel::CommodityMarket };
-        let a = simulate_faulty(&jobs, PolicyKind::SjfBf, &cfg, &fault);
-        let b = simulate_faulty(&jobs, PolicyKind::SjfBf, &cfg, &fault);
+        let faulty = || {
+            let opts = RunOptions { fault: Some(&fault), ..RunOptions::default() };
+            run(&jobs, build_policy(PolicyKind::SjfBf, cfg.econ, cfg.nodes), &cfg, opts)
+                .unwrap()
+                .result
+        };
+        let (a, b) = (faulty(), faulty());
         prop_assert_eq!(&a.records, &b.records);
         prop_assert_eq!(a.metrics.objectives(), b.metrics.objectives());
         prop_assert_eq!(a.metrics.node_failures, b.metrics.node_failures);

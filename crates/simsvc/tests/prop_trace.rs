@@ -3,8 +3,8 @@
 //! run's aggregate metrics.
 
 use ccs_economy::EconomicModel;
-use ccs_policies::PolicyKind;
-use ccs_simsvc::{simulate_traced, RunConfig};
+use ccs_policies::{build_policy, PolicyKind};
+use ccs_simsvc::{run_traced, RunConfig, RunOptions};
 use ccs_telemetry::trace::check_causal_order;
 use ccs_workload::{Job, Urgency};
 use proptest::prelude::*;
@@ -51,7 +51,9 @@ fn jobs_strategy() -> impl Strategy<Value = Vec<(u16, u16, u8, u8, u8, u32)>> {
 
 fn check_run(jobs: &[Job], kind: PolicyKind, econ: EconomicModel) {
     let cfg = RunConfig { nodes: 16, econ };
-    let (result, trace) = simulate_traced(jobs, kind, &cfg);
+    let policy = build_policy(kind, econ, cfg.nodes);
+    let (out, trace) = run_traced(jobs, policy, &cfg, RunOptions::default()).unwrap();
+    let result = out.result;
 
     prop_assert_eq!(check_causal_order(&trace.records), Ok(()));
     prop_assert_eq!(trace.dropped, 0u64);

@@ -13,7 +13,7 @@ use ccs_cluster::SpaceShared;
 use ccs_des::{EventQueue, SimTime};
 use ccs_economy::EconomicModel;
 use ccs_policies::{Outcome, Policy, PolicyKind, RejectReason};
-use ccs_simsvc::{simulate, simulate_with, RunConfig};
+use ccs_simsvc::{run, simulate, RunConfig, RunOptions};
 use ccs_workload::{apply_scenario, Job, JobId, ScenarioTransform, SdscSp2Model};
 use std::collections::HashMap;
 
@@ -133,8 +133,14 @@ fn main() {
         "policy", "SLA %", "wait (s)", "reliability %", "profit %"
     );
     // The custom policy, driven by the standard runner...
-    let custom = simulate_with(&jobs, Box::new(GreedyValue::new(128)), &cfg);
-    let [w, s, r, p] = custom.metrics.objectives();
+    let custom = run(
+        &jobs,
+        Box::new(GreedyValue::new(128)),
+        &cfg,
+        RunOptions::default(),
+    )
+    .expect("an unlimited budget cannot trip");
+    let [w, s, r, p] = custom.result.metrics.objectives();
     println!(
         "{:<12} {:>8.1} {:>10.0} {:>13.1} {:>10.1}",
         "GreedyValue", s, w, r, p
@@ -155,6 +161,7 @@ fn main() {
     }
     println!(
         "\nAny type implementing ccs_policies::Policy plugs into \
-         ccs_simsvc::simulate_with and the full risk-analysis pipeline."
+         ccs_simsvc::run (fault injection, budgets and observers included) \
+         and the full risk-analysis pipeline."
     );
 }
