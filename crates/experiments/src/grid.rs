@@ -19,12 +19,12 @@ use ccs_simsvc::{
     check_run, run, BudgetExceeded, FaultConfig, RunBudget, RunConfig, RunOptions, Violation,
 };
 use ccs_telemetry::profile::ProfileSnapshot;
-use ccs_workload::{apply_scenario, BaseJob, Job, SdscSp2Model};
+use ccs_workload::{apply_scenario, BaseJob, Job, ScenarioTransform, SdscSp2Model};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Global experiment configuration.
@@ -90,9 +90,10 @@ pub struct GridControl {
     /// appended as they finish, and cells already present are reused
     /// instead of re-simulated. `None` disables journaling.
     pub journal: Option<std::path::PathBuf>,
-    /// Simulate at most this many cells (journal hits don't count), then
-    /// skip the rest — the hook integration tests use to "kill" a run at a
-    /// deterministic point. `None` = unlimited.
+    /// Simulate at most this many cells (journal hits don't count; cells
+    /// served from the cell memo do), then skip the rest — the hook
+    /// integration tests use to "kill" a run at a deterministic point.
+    /// `None` = unlimited.
     pub cell_budget: Option<usize>,
     /// Deliberately panic the cell `"scenarioIdx:valueIdx:PolicyName"` —
     /// the fault-injection backdoor proving a broken policy cannot take
@@ -132,7 +133,8 @@ pub const PHASE_LEAVES: [&str; 6] = [
 
 /// The per-cell cost vector: phase-attributed self-time plus the cell's
 /// peak policy queue depth. All zeros unless the `profile` feature was on
-/// (and for journal hits / skipped cells, whose work never re-ran).
+/// (and for journal hits, memo-served and skipped cells, whose work never
+/// re-ran).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellCost {
     /// Self-time nanoseconds per phase, indexed like [`PHASE_LEAVES`].
@@ -184,10 +186,11 @@ pub struct CellTiming {
     pub value_idx: usize,
     /// Policy display name.
     pub policy: String,
-    /// Wall-clock seconds spent simulating this cell.
+    /// Wall-clock seconds spent simulating this cell (0 for cells served
+    /// from the cell memo and for skipped cells).
     pub secs: f64,
-    /// Simulation outcomes the cell produced (0 for journal hits and
-    /// skipped cells — their events were never re-simulated).
+    /// Simulation outcomes the cell produced (0 for skipped cells; journal
+    /// hits and memo-served cells carry their source's count).
     pub events: u64,
     /// Phase-attributed cost vector (zeros unless profiled).
     pub cost: CellCost,
@@ -208,42 +211,165 @@ impl CellTiming {
     }
 }
 
-/// Per-grid memoisation of synthesised job streams.
+/// Memoisation of synthesised job streams and of the finished cells that
+/// ran on them, for one memo scope: one grid, or the four grids of
+/// [`crate::run_evaluation`], which share a base trace.
 ///
-/// `apply_scenario` is deterministic in `(base, transform, seed)`, and one
-/// grid run fixes `base` and `seed` — so cells whose scenario transform is
-/// identical (every failure-rate value, plus any swept value that lands on
-/// the baseline) can share one immutable trace instead of re-synthesising
+/// `apply_scenario` is deterministic in `(base, transform, seed)`, and a
+/// memo scope fixes `base` and `seed` — so points whose scenario transform
+/// is identical (every failure-rate value, plus any swept value that lands
+/// on the baseline) share one immutable trace instead of re-synthesising
 /// it. Keyed by the transform's debug rendering, which spells out every
 /// field at full float precision.
+///
+/// With nodes and replicas fixed too, a cell is a pure function of
+/// `(econ, policy, transform, fault)`, so each entry also holds the
+/// finished cells that ran on its trace, keyed by `(econ, policy, fault)`:
+/// a later slot with the same inputs copies the result instead of
+/// simulating it again (see [`WorkloadEntry`]).
 struct WorkloadCache {
-    map: Mutex<HashMap<String, Arc<Vec<Job>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    map: Mutex<HashMap<String, Arc<WorkloadEntry>>>,
 }
 
 impl WorkloadCache {
     fn new() -> Self {
         WorkloadCache {
             map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
-    /// Returns the memoised trace for `key`, synthesising it with `generate`
-    /// on a miss. Synthesis runs outside the lock: two workers racing the
-    /// same key at worst duplicate one synthesis (the first insert wins),
-    /// never block each other for its duration.
-    fn get_or_generate(&self, key: String, generate: impl FnOnce() -> Vec<Job>) -> Arc<Vec<Job>> {
-        if let Some(hit) = self.map.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let jobs = Arc::new(generate());
-        Arc::clone(self.map.lock().unwrap().entry(key).or_insert(jobs))
+    /// Returns the entry for `key`, creating it on first use.
+    fn entry(&self, key: String) -> Arc<WorkloadEntry> {
+        Arc::clone(self.map.lock().unwrap().entry(key).or_default())
     }
+}
+
+/// One transform's cache entry: its job stream, synthesised by the first
+/// slot that simulates on it and released when the grid ends (so a memo
+/// scope of four grids holds no more traces at once than one grid does),
+/// and the cell memo, which lives as long as the scope.
+///
+/// Each memo key has one source slot, its first slot in (grid, scenario,
+/// value, policy column) order, claimed before the grid's pool starts.
+/// Later slots wait for the source to finish and copy its result, so
+/// which slot carries the measured time never depends on thread timing.
+/// Every wait points at an earlier-claimed point, so waits cannot form a
+/// cycle.
+#[derive(Default)]
+struct WorkloadEntry {
+    jobs: Mutex<Option<Arc<Vec<Job>>>>,
+    cells: Mutex<HashMap<String, MemoState>>,
+    finished: Condvar,
+}
+
+/// What a later slot finds under a memo key.
+enum MemoState {
+    /// The source slot has not finished yet.
+    Pending,
+    /// The source slot completed; later slots copy it.
+    Done(MemoCell),
+    /// The source slot did not complete (panic, budget, invariant
+    /// violation or cell-budget skip): later slots simulate themselves.
+    Unusable,
+}
+
+/// The part of a finished cell a memo-served slot copies.
+#[derive(Clone, Copy)]
+struct MemoCell {
+    objectives: [f64; 4],
+    sigma: [f64; 4],
+    events: u64,
+}
+
+impl WorkloadEntry {
+    /// The entry's job stream, synthesised with `generate` on first use.
+    fn jobs(&self, generate: impl FnOnce() -> Vec<Job>) -> Arc<Vec<Job>> {
+        let mut jobs = self.jobs.lock().unwrap();
+        Arc::clone(jobs.get_or_insert_with(|| Arc::new(generate())))
+    }
+
+    /// Makes the calling slot the source of `key` unless an earlier slot
+    /// holds it; a key whose source did not complete in an earlier grid is
+    /// claimed afresh.
+    fn claim(&self, key: &str) -> bool {
+        let mut cells = self.cells.lock().unwrap();
+        match cells.get(key) {
+            Some(MemoState::Pending | MemoState::Done(_)) => false,
+            None | Some(MemoState::Unusable) => {
+                cells.insert(key.to_string(), MemoState::Pending);
+                true
+            }
+        }
+    }
+
+    /// Resolves a source slot's claim and wakes the slots waiting on it.
+    /// Runs in [`MemoClaim`]'s `Drop`, so it must not panic: every update
+    /// of `cells` is one insert, which leaves a poisoned map valid.
+    fn publish(&self, key: &str, cell: Option<MemoCell>) {
+        let state = cell.map_or(MemoState::Unusable, MemoState::Done);
+        self.cells
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key.to_string(), state);
+        self.finished.notify_all();
+    }
+
+    /// Waits for the source of `key` to finish; its result when it
+    /// completed.
+    fn wait(&self, key: &str) -> Option<MemoCell> {
+        let mut cells = self.cells.lock().unwrap();
+        loop {
+            match cells.get(key) {
+                Some(MemoState::Pending) => cells = self.finished.wait(cells).unwrap(),
+                Some(MemoState::Done(cell)) => return Some(*cell),
+                Some(MemoState::Unusable) | None => return None,
+            }
+        }
+    }
+}
+
+/// A source slot's claim on its memo key. It publishes on drop, so the
+/// claim is resolved on every path out of the slot, including a panic:
+/// `Done` when `cell` was set, `Unusable` otherwise.
+struct MemoClaim<'a> {
+    entry: &'a WorkloadEntry,
+    key: &'a str,
+    cell: Option<MemoCell>,
+}
+
+impl Drop for MemoClaim<'_> {
+    fn drop(&mut self) {
+        self.entry.publish(self.key, self.cell.take());
+    }
+}
+
+/// How one grid slot relates to the cell memo.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum MemoRole {
+    /// A drilled cell: never reads from the memo, never writes to it.
+    Bypass,
+    /// The first slot with its inputs: simulates and publishes.
+    Source,
+    /// A later slot with the same inputs as its source.
+    Repeat,
+}
+
+/// One policy column of a [`PointPlan`].
+struct SlotPlan {
+    /// `"scenarioIdx:valueIdx:PolicyName"`, the drill address.
+    label: String,
+    drill: CellDrill,
+    memo_key: String,
+    role: MemoRole,
+}
+
+/// One experiment point's inputs, planned before the pool starts so that
+/// memo sources follow grid order.
+struct PointPlan {
+    transform: ScenarioTransform,
+    fault: Option<FaultConfig>,
+    entry: Arc<WorkloadEntry>,
+    slots: Vec<SlotPlan>,
 }
 
 /// Raw objective measurements for one (economic model, estimate set) pair.
@@ -264,10 +390,12 @@ pub struct RawGrid {
     /// `replicas == 1` and for skipped cells.
     pub cell_sigma: Vec<Vec<Vec<[f64; 4]>>>,
     /// `cell_secs[scenario][value][policy]` — wall-clock seconds per cell.
-    /// Always populated, independent of the `telemetry` feature.
+    /// Always populated, independent of the `telemetry` feature; 0 for
+    /// cells served from the cell memo (their source slot carries the
+    /// time) and for skipped cells.
     pub cell_secs: Vec<Vec<Vec<f64>>>,
     /// `cell_events[scenario][value][policy]` — simulation outcomes per
-    /// cell (0 for journal hits and skipped cells).
+    /// cell (0 for skipped cells).
     pub cell_events: Vec<Vec<Vec<u64>>>,
     /// `cell_costs[scenario][value][policy]` — per-cell phase cost vectors
     /// (all zeros unless built with the `profile` feature).
@@ -279,10 +407,12 @@ pub struct RawGrid {
     /// Grid-wide merge of every simulated cell's profile snapshot — the
     /// folded-stack flamegraph source. Empty unless profiled.
     pub profile: ProfileSnapshot,
-    /// Scenario traces served from the per-grid workload cache instead of
-    /// being re-synthesised.
+    /// Experiment points whose scenario transform an earlier point of this
+    /// grid already used, so they share its trace instead of
+    /// re-synthesising it.
     pub workload_cache_hits: u64,
-    /// Scenario traces synthesised (cache misses).
+    /// Experiment points that were the first of this grid to use their
+    /// transform.
     pub workload_cache_misses: u64,
     /// Busy seconds per worker thread (simulation time, excluding idle
     /// waits on the work queue) — the basis for utilisation reporting.
@@ -406,14 +536,18 @@ pub fn run_grid_with_base_ctl(
     base: &[BaseJob],
     ctl: &GridControl,
 ) -> RawGrid {
-    let board = LiveRiskBoard::new(
+    run_grid_with_base_ctl_observed(econ, set, cfg, base, ctl, &live_board(econ))
+}
+
+/// A fresh live board over `econ`'s policies, default normalisation.
+fn live_board(econ: EconomicModel) -> LiveRiskBoard {
+    LiveRiskBoard::new(
         policies_for(econ)
             .iter()
             .map(|p| p.name().to_string())
             .collect(),
         WaitNormalization::default(),
-    );
-    run_grid_with_base_ctl_observed(econ, set, cfg, base, ctl, &board)
+    )
 }
 
 /// Like [`run_grid_with_base_ctl`], but folding every completed experiment
@@ -430,6 +564,36 @@ pub fn run_grid_with_base_ctl_observed(
     base: &[BaseJob],
     ctl: &GridControl,
     board: &LiveRiskBoard,
+) -> RawGrid {
+    run_grid_memo(econ, set, cfg, base, ctl, board, &WorkloadCache::new())
+}
+
+/// Runs `grids` in order over one base trace and one cell memo, so a cell
+/// repeated across the grids (Set B's inaccuracy points repeat Set A's)
+/// is simulated once. Each grid gets its own [`LiveRiskBoard`].
+pub(crate) fn run_grids_ctl(
+    cfg: &ExperimentConfig,
+    grids: &[(EconomicModel, EstimateSet)],
+    ctl: &GridControl,
+) -> Vec<RawGrid> {
+    let base = cfg.trace.generate(cfg.seed);
+    let cache = WorkloadCache::new();
+    grids
+        .iter()
+        .map(|&(econ, set)| run_grid_memo(econ, set, cfg, &base, ctl, &live_board(econ), &cache))
+        .collect()
+}
+
+/// The one grid runner behind every public entry point: one grid over
+/// `cache`, whose memo scope fixes `base`, seed, nodes and replicas.
+fn run_grid_memo(
+    econ: EconomicModel,
+    set: EstimateSet,
+    cfg: &ExperimentConfig,
+    base: &[BaseJob],
+    ctl: &GridControl,
+    board: &LiveRiskBoard,
+    cache: &WorkloadCache,
 ) -> RawGrid {
     let journal = ctl.journal.as_deref().map(|p| {
         Journal::open(p).unwrap_or_else(|e| panic!("cannot open journal {}: {e}", p.display()))
@@ -450,10 +614,54 @@ pub fn run_grid_with_base_ctl_observed(
         max_events: ctl.cell_event_budget,
     };
     let policies = policies_for(econ);
-    let base = base.to_vec();
     let points: Vec<(usize, usize)> = (0..Scenario::ALL.len())
         .flat_map(|s| (0..6).map(move |v| (s, v)))
         .collect();
+    // One cache lookup per point, in grid order and before any worker
+    // starts: this claims every memo key's source slot deterministically.
+    // A lookup hits when an earlier point of this grid shares the trace.
+    let mut plans: Vec<PointPlan> = Vec::with_capacity(points.len());
+    let mut cache_hits = 0u64;
+    for &(s, v) in &points {
+        let scenario = Scenario::ALL[s];
+        let value = scenario.values()[v];
+        let transform = scenario.transform(set, value);
+        let fault = scenario.fault(value, cfg.seed);
+        let entry = cache.entry(format!("{transform:?}"));
+        if plans.iter().any(|p| Arc::ptr_eq(&p.entry, &entry)) {
+            cache_hits += 1;
+        }
+        let slots = policies
+            .iter()
+            .map(|kind| {
+                let label = format!("{s}:{v}:{}", kind.name());
+                let drill = CellDrill {
+                    fail: fail_cell.as_deref() == Some(label.as_str()),
+                    stall: stall_cell.as_deref() == Some(label.as_str()),
+                };
+                let memo_key = format!("{econ:?}/{kind:?}/{fault:?}");
+                let role = if drill.fail || drill.stall {
+                    MemoRole::Bypass
+                } else if entry.claim(&memo_key) {
+                    MemoRole::Source
+                } else {
+                    MemoRole::Repeat
+                };
+                SlotPlan {
+                    label,
+                    drill,
+                    memo_key,
+                    role,
+                }
+            })
+            .collect();
+        plans.push(PointPlan {
+            transform,
+            fault,
+            entry,
+            slots,
+        });
+    }
 
     let raw = Mutex::new(vec![
         vec![vec![[0.0; 4]; policies.len()]; 6];
@@ -480,7 +688,6 @@ pub fn run_grid_with_base_ctl_observed(
         Scenario::ALL.len()
     ]);
     let profile_acc = Mutex::new(ProfileSnapshot::default());
-    let workload_cache = WorkloadCache::new();
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let threads = if cfg.threads == 0 {
@@ -506,17 +713,14 @@ pub fn run_grid_with_base_ctl_observed(
             let cell_costs = &cell_costs;
             let cell_workers = &cell_workers;
             let profile_acc = &profile_acc;
-            let workload_cache = &workload_cache;
             let next = &next;
             let done = &done;
             let busy = &busy;
-            let base = &base;
             let policies = &policies;
             let points = &points;
+            let plans = &plans;
             let journal = journal.as_ref();
             let budget = budget.as_ref();
-            let fail_cell = fail_cell.as_deref();
-            let stall_cell = stall_cell.as_deref();
             let errors = &errors;
             scope.spawn(move || {
                 let mut my_busy = 0.0f64;
@@ -534,14 +738,12 @@ pub fn run_grid_with_base_ctl_observed(
                         base,
                         s,
                         v,
+                        &plans[i],
                         policies,
                         journal,
                         budget,
-                        fail_cell,
-                        stall_cell,
                         run_budget,
                         errors,
-                        workload_cache,
                         worker as u64 + 1,
                         threads,
                     );
@@ -568,6 +770,9 @@ pub fn run_grid_with_base_ctl_observed(
     });
 
     let wall_secs = started.elapsed().as_secs_f64();
+    for plan in &plans {
+        *plan.entry.jobs.lock().unwrap() = None;
+    }
     let mut errors = errors.into_inner().unwrap();
     errors.sort_by(|a, b| {
         (a.scenario_idx, a.value_idx, &a.policy).cmp(&(b.scenario_idx, b.value_idx, &b.policy))
@@ -583,8 +788,8 @@ pub fn run_grid_with_base_ctl_observed(
         cell_costs: cell_costs.into_inner().unwrap(),
         cell_workers: cell_workers.into_inner().unwrap(),
         profile: profile_acc.into_inner().unwrap(),
-        workload_cache_hits: workload_cache.hits.load(Ordering::Relaxed),
-        workload_cache_misses: workload_cache.misses.load(Ordering::Relaxed),
+        workload_cache_hits: cache_hits,
+        workload_cache_misses: points.len() as u64 - cache_hits,
         worker_busy_secs: busy.into_inner().unwrap(),
         worker_transports: Vec::new(),
         wall_secs,
@@ -983,7 +1188,8 @@ struct PointResult {
 
 /// Runs one experiment point (one scenario value) for every policy,
 /// returning the objective row and per-policy wall-clock seconds. Panics
-/// are confined to the failing cell; journal hits skip simulation entirely.
+/// are confined to the failing cell; journal hits skip simulation entirely,
+/// and memo repeats copy their source slot's result.
 #[allow(clippy::too_many_arguments)]
 fn run_point(
     econ: EconomicModel,
@@ -992,28 +1198,20 @@ fn run_point(
     base: &[BaseJob],
     scenario_idx: usize,
     value_idx: usize,
+    plan: &PointPlan,
     policies: &[PolicyKind],
     journal: Option<&Journal>,
     budget: Option<&AtomicI64>,
-    fail_cell: Option<&str>,
-    stall_cell: Option<&str>,
     run_budget: RunBudget,
     errors: &Mutex<Vec<CellError>>,
-    cache: &WorkloadCache,
     worker_id: u64,
     ensemble_pool: usize,
 ) -> PointResult {
     let scenario = Scenario::ALL[scenario_idx];
-    let value = scenario.values()[value_idx];
-    let fault = scenario.fault(value, cfg.seed);
-    let transform = scenario.transform(set, value);
     let run_cfg = RunConfig {
         nodes: cfg.nodes,
         econ,
     };
-    // Fetched lazily: a point fully served from the journal never touches
-    // the workload cache, let alone pays for synthesis.
-    let mut jobs: Option<Arc<Vec<Job>>> = None;
     let mut row = Vec::with_capacity(policies.len());
     let mut sigmas = Vec::with_capacity(policies.len());
     let mut secs = Vec::with_capacity(policies.len());
@@ -1021,9 +1219,31 @@ fn run_point(
     let mut costs = Vec::with_capacity(policies.len());
     let mut workers = Vec::with_capacity(policies.len());
     let mut profile = ProfileSnapshot::default();
-    for &kind in policies {
+    // Each claim drops at the end of its slot's iteration, on every path; a
+    // source that leaves `cell` unset tells its repeats to simulate
+    // themselves. Claims of slots not yet reached drop with the iterator,
+    // so even a panic that escapes the point cannot leave a repeat waiting.
+    let claims: Vec<Option<MemoClaim>> = plan
+        .slots
+        .iter()
+        .map(|slot| {
+            (slot.role == MemoRole::Source).then(|| MemoClaim {
+                entry: &plan.entry,
+                key: &slot.memo_key,
+                cell: None,
+            })
+        })
+        .collect();
+    for ((&kind, slot), mut claim) in policies.iter().zip(&plan.slots).zip(claims) {
         let key = cell_key(econ, set, cfg, scenario_idx, value_idx, kind);
         if let Some(rec) = journal.and_then(|j| j.get(&key)) {
+            if let Some(claim) = claim.as_mut() {
+                claim.cell = Some(MemoCell {
+                    objectives: rec.objectives,
+                    sigma: rec.sigma,
+                    events: rec.events,
+                });
+            }
             row.push(rec.objectives);
             sigmas.push(rec.sigma);
             secs.push(rec.secs);
@@ -1045,71 +1265,93 @@ fn run_point(
                 continue;
             }
         }
-        let this_cell = format!("{scenario_idx}:{value_idx}:{}", kind.name());
-        let drill = CellDrill {
-            fail: fail_cell == Some(this_cell.as_str()),
-            stall: stall_cell == Some(this_cell.as_str()),
+        let memo = match slot.role {
+            MemoRole::Repeat => plan.entry.wait(&slot.memo_key),
+            MemoRole::Source | MemoRole::Bypass => None,
         };
-        let jobs_slot = &mut jobs;
-        let ensemble = simulate_cell_ensemble(
-            kind,
-            &run_cfg,
-            fault.as_ref(),
-            run_budget,
-            drill,
-            &this_cell,
-            cfg.replicas.max(1),
-            ensemble_pool,
-            || {
-                Arc::clone(jobs_slot.get_or_insert_with(|| {
-                    cache.get_or_generate(format!("{transform:?}"), || {
-                        let _phase = ccs_telemetry::profile::enter("workload_gen");
-                        apply_scenario(base, &transform, cfg.seed)
-                    })
-                }))
-            },
-        );
-        let sim = ensemble.cell;
-        if !sim.profile.is_empty() {
-            profile.merge(&sim.profile);
+        if slot.role != MemoRole::Bypass {
+            let counter = if memo.is_some() {
+                "grid.cell_memo.hits"
+            } else {
+                "grid.cell_memo.misses"
+            };
+            ccs_telemetry::global().counter(counter).inc();
         }
-        match sim.outcome {
-            Ok((objectives, n_events)) => {
-                // A stall drill that somehow completed must not poison the
-                // journal with the stuck fixture's numbers.
-                if let Some(j) = journal.filter(|_| !drill.stall) {
-                    j.append(&CellRecord {
-                        key,
+        let (cell, cell_secs, cost) = if let Some(cell) = memo {
+            (cell, 0.0, CellCost::default())
+        } else {
+            let ensemble = simulate_cell_ensemble(
+                kind,
+                &run_cfg,
+                plan.fault.as_ref(),
+                run_budget,
+                slot.drill,
+                &slot.label,
+                cfg.replicas.max(1),
+                ensemble_pool,
+                || {
+                    plan.entry.jobs(|| {
+                        let _phase = ccs_telemetry::profile::enter("workload_gen");
+                        apply_scenario(base, &plan.transform, cfg.seed)
+                    })
+                },
+            );
+            let sim = ensemble.cell;
+            if !sim.profile.is_empty() {
+                profile.merge(&sim.profile);
+            }
+            match sim.outcome {
+                Ok((objectives, n_events)) => (
+                    MemoCell {
+                        objectives,
+                        sigma: ensemble.sigma,
+                        events: n_events,
+                    },
+                    sim.secs,
+                    sim.cost,
+                ),
+                Err((err_kind, message)) => {
+                    errors.lock().unwrap().push(CellError {
+                        scenario: scenario.label(),
                         scenario_idx,
                         value_idx,
                         policy: kind.name().to_string(),
-                        objectives,
-                        sigma: ensemble.sigma,
-                        secs: sim.secs,
-                        events: n_events,
-                        worker: worker_id,
+                        kind: err_kind,
+                        message,
                     });
+                    row.push([0.0; 4]);
+                    sigmas.push([0.0; 4]);
+                    events.push(0);
+                    secs.push(sim.secs);
+                    costs.push(sim.cost);
+                    workers.push(worker_id);
+                    continue;
                 }
-                row.push(objectives);
-                sigmas.push(ensemble.sigma);
-                events.push(n_events);
             }
-            Err((err_kind, message)) => {
-                errors.lock().unwrap().push(CellError {
-                    scenario: scenario.label(),
-                    scenario_idx,
-                    value_idx,
-                    policy: kind.name().to_string(),
-                    kind: err_kind,
-                    message,
-                });
-                row.push([0.0; 4]);
-                sigmas.push([0.0; 4]);
-                events.push(0);
-            }
+        };
+        // A stall drill that somehow completed must not poison the journal
+        // with the stuck fixture's numbers.
+        if let Some(j) = journal.filter(|_| !slot.drill.stall) {
+            j.append(&CellRecord {
+                key,
+                scenario_idx,
+                value_idx,
+                policy: kind.name().to_string(),
+                objectives: cell.objectives,
+                sigma: cell.sigma,
+                secs: cell_secs,
+                events: cell.events,
+                worker: worker_id,
+            });
         }
-        secs.push(sim.secs);
-        costs.push(sim.cost);
+        if let Some(claim) = claim.as_mut() {
+            claim.cell = Some(cell);
+        }
+        row.push(cell.objectives);
+        sigmas.push(cell.sigma);
+        events.push(cell.events);
+        secs.push(cell_secs);
+        costs.push(cost);
         workers.push(worker_id);
     }
     PointResult {
@@ -1163,6 +1405,205 @@ mod tests {
         assert_eq!(g.raw[fr][0], g.raw[wl][2]);
         // Nonzero failure rates must change at least one objective.
         assert_ne!(g.raw[fr][0], g.raw[fr][5], "failures had no effect");
+        // Both points are copies of one memoised cell, so compare them
+        // against a direct run of the baseline workload too.
+        let jobs = apply_scenario(
+            &cfg.trace.generate(cfg.seed),
+            &crate::scenario::baseline(EstimateSet::A),
+            cfg.seed,
+        );
+        for (p, &kind) in g.policies.iter().enumerate() {
+            assert_eq!(
+                g.raw[fr][0][p],
+                direct_objectives(&cfg, &g, &jobs, kind, None)
+            );
+        }
+    }
+
+    /// Objectives of one cell simulated directly with [`run`], outside the
+    /// grid and its memo.
+    fn direct_objectives(
+        cfg: &ExperimentConfig,
+        g: &RawGrid,
+        jobs: &[Job],
+        kind: PolicyKind,
+        fault: Option<&FaultConfig>,
+    ) -> [f64; 4] {
+        let run_cfg = RunConfig {
+            nodes: cfg.nodes,
+            econ: g.econ,
+        };
+        let opts = RunOptions {
+            fault,
+            ..RunOptions::default()
+        };
+        let policy = build_policy(kind, g.econ, cfg.nodes);
+        run(jobs, policy, &run_cfg, opts)
+            .expect("unbudgeted run completes")
+            .result
+            .metrics
+            .objectives()
+    }
+
+    /// `(grid, scenario, value, policy)` of every memo-served slot: the
+    /// only slots that complete with zero measured seconds.
+    fn memo_served(grids: &[RawGrid]) -> Vec<(usize, usize, usize, usize)> {
+        let mut served = Vec::new();
+        for (g, grid) in grids.iter().enumerate() {
+            for (s, per_value) in grid.cell_secs.iter().enumerate() {
+                for (v, per_policy) in per_value.iter().enumerate() {
+                    for (p, &secs) in per_policy.iter().enumerate() {
+                        if secs == 0.0 {
+                            served.push((g, s, v, p));
+                        }
+                    }
+                }
+            }
+        }
+        served
+    }
+
+    #[test]
+    fn memo_served_slots_match_independent_runs() {
+        let cfg = ExperimentConfig::quick().with_jobs(40);
+        let ev = crate::run_evaluation(&cfg);
+        let base = cfg.trace.generate(cfg.seed);
+        let served = memo_served(&ev.raw_grids);
+        assert!(!served.is_empty());
+        for (g, s, v, p) in served {
+            let grid = &ev.raw_grids[g];
+            let scenario = Scenario::ALL[s];
+            let value = scenario.values()[v];
+            let jobs = apply_scenario(&base, &scenario.transform(grid.set, value), cfg.seed);
+            let fault = scenario.fault(value, cfg.seed);
+            let direct = direct_objectives(&cfg, grid, &jobs, grid.policies[p], fault.as_ref());
+            assert_eq!(
+                grid.raw[s][v][p].map(f64::to_bits),
+                direct.map(f64::to_bits),
+                "grid {g} slot {s}:{v}:{}",
+                grid.policies[p].name()
+            );
+        }
+    }
+
+    #[test]
+    fn memo_serves_exactly_the_repeated_cells() {
+        let at = |threads| {
+            let cfg = ExperimentConfig {
+                threads,
+                ..ExperimentConfig::quick().with_jobs(40)
+            };
+            crate::run_evaluation(&cfg).raw_grids
+        };
+        let one = memo_served(&at(1));
+        let many = memo_served(&at(4));
+        // Set A: 12 of the 13 baseline points repeat the first. Set B: all
+        // 13 baseline points repeat Set A's inaccuracy-100 point, and
+        // inaccuracy 0-80 repeat Set A's points.
+        let per_grid: Vec<usize> = (0..4)
+            .map(|g| one.iter().filter(|slot| slot.0 == g).count())
+            .collect();
+        assert_eq!(per_grid, [60, 90, 60, 90]);
+        assert_eq!(one.len(), 300);
+        assert_eq!(one, many, "memo sources must not depend on thread timing");
+        let cfg = ExperimentConfig::quick().with_jobs(40);
+        let g = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        assert_eq!(
+            memo_served(&[g]).len(),
+            60,
+            "a standalone grid has its own memo"
+        );
+    }
+
+    #[test]
+    fn drills_fire_on_memo_served_slots_and_are_not_journaled() {
+        let cfg = ExperimentConfig {
+            threads: 2,
+            ..ExperimentConfig::quick().with_jobs(40)
+        };
+        let full = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let libra = full
+            .policies
+            .iter()
+            .position(|k| k.name() == "Libra")
+            .unwrap();
+        // Workload value 2 (0.25) is the baseline point, a repeat of
+        // scenario 0's value 1 in the undrilled grid.
+        assert_eq!(full.cell_secs[1][2][libra], 0.0);
+        for (ctl, kind) in [
+            (
+                GridControl {
+                    fail_cell: Some("1:2:Libra".into()),
+                    ..Default::default()
+                },
+                CellErrorKind::Panic,
+            ),
+            (
+                GridControl {
+                    stall_cell: Some("1:2:Libra".into()),
+                    ..Default::default()
+                },
+                CellErrorKind::Budget,
+            ),
+        ] {
+            let dir = std::env::temp_dir().join(format!("ccs_grid_memo_drill_{kind:?}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let journal = dir.join("journal.jsonl");
+            let ctl = GridControl {
+                journal: Some(journal.clone()),
+                ..ctl
+            };
+            let g = run_grid_ctl(EconomicModel::CommodityMarket, EstimateSet::A, &cfg, &ctl);
+            assert_eq!(g.errors.len(), 1, "exactly the drilled cell fails");
+            let e = &g.errors[0];
+            assert_eq!(
+                (e.scenario_idx, e.value_idx, e.policy.as_str()),
+                (1, 2, "Libra")
+            );
+            assert_eq!(e.kind, kind);
+            let total = Scenario::ALL.len() * 6 * g.policies.len();
+            assert_eq!(Journal::open(&journal).unwrap().loaded(), total - 1);
+            // Every other cell, memo-served or not, holds the undrilled value.
+            let mut raw = g.raw.clone();
+            raw[1][2][libra] = full.raw[1][2][libra];
+            assert_eq!(raw, full.raw);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn fail_drill_on_a_memo_source_leaves_its_repeats_correct() {
+        let cfg = ExperimentConfig {
+            threads: 2,
+            ..ExperimentConfig::quick().with_jobs(40)
+        };
+        let full = run_grid(EconomicModel::CommodityMarket, EstimateSet::A, &cfg);
+        let sjf = full
+            .policies
+            .iter()
+            .position(|k| k.name() == "SJF-BF")
+            .unwrap();
+        // Scenario 0's value 1 is the grid's first baseline point: the
+        // source of the 12 baseline repeats in every policy column.
+        assert!(full.cell_secs[0][1][sjf] > 0.0);
+        let g = run_grid_ctl(
+            EconomicModel::CommodityMarket,
+            EstimateSet::A,
+            &cfg,
+            &GridControl {
+                fail_cell: Some("0:1:SJF-BF".into()),
+                ..Default::default()
+            },
+        );
+        assert_eq!(g.errors.len(), 1);
+        assert_eq!(g.raw[0][1][sjf], [0.0; 4]);
+        // The drilled slot bypasses the memo, so the next baseline slot
+        // becomes the source and its 11 repeats copy it.
+        assert!(g.cell_secs[1][2][sjf] > 0.0);
+        assert_eq!(memo_served(std::slice::from_ref(&g)).len(), 59);
+        let mut raw = g.raw.clone();
+        raw[0][1][sjf] = full.raw[0][1][sjf];
+        assert_eq!(raw, full.raw);
     }
 
     #[test]

@@ -89,17 +89,19 @@ pub fn run_evaluation(cfg: &ExperimentConfig) -> Evaluation {
 
 /// Like [`run_evaluation`], but with [`GridControl`]: all four grids share
 /// one resume journal, so a killed run resumes across the whole study.
-/// (The cell budget, if set, applies per grid.)
+/// (The cell budget, if set, applies per grid.) They also share one base
+/// trace and one cell memo, so each distinct cell is simulated once.
 pub fn run_evaluation_ctl(cfg: &ExperimentConfig, ctl: &GridControl) -> Evaluation {
-    let grids: Vec<RawGrid> = [
-        (EconomicModel::CommodityMarket, EstimateSet::A),
-        (EconomicModel::CommodityMarket, EstimateSet::B),
-        (EconomicModel::BidBased, EstimateSet::A),
-        (EconomicModel::BidBased, EstimateSet::B),
-    ]
-    .into_iter()
-    .map(|(econ, set)| run_grid_ctl(econ, set, cfg, ctl))
-    .collect();
+    let grids = grid::run_grids_ctl(
+        cfg,
+        &[
+            (EconomicModel::CommodityMarket, EstimateSet::A),
+            (EconomicModel::CommodityMarket, EstimateSet::B),
+            (EconomicModel::BidBased, EstimateSet::A),
+            (EconomicModel::BidBased, EstimateSet::B),
+        ],
+        ctl,
+    );
     Evaluation {
         commodity_a: analyze(&grids[0]),
         commodity_b: analyze(&grids[1]),

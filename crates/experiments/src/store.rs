@@ -86,9 +86,10 @@ pub struct Columns {
     /// pinned to 1 for chaos findings (an invariant violation is maximal
     /// risk evidence).
     pub risk_score: Vec<f64>,
-    /// Wall-clock seconds spent simulating the cell (0 for journal hits).
+    /// Wall-clock seconds spent simulating the cell (0 for cells served
+    /// from the cell memo).
     pub secs: Vec<f64>,
-    /// Outcome events the cell produced (0 for journal hits).
+    /// Outcome events the cell produced.
     pub events: Vec<u64>,
     /// Provenance digest: the journal [`cell_key`] for grid rows, the
     /// failure signature for chaos rows.

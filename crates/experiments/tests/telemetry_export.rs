@@ -65,6 +65,10 @@ fn utility_risk_emits_parseable_telemetry() {
             "queue-depth high-water mark missing: {:?}",
             s.gauges
         );
+        // One evaluation: 300 of its 1560 slots repeat an earlier cell.
+        let memo = |name: &str| s.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(memo("grid.cell_memo.hits"), 300);
+        assert_eq!(memo("grid.cell_memo.misses"), 1260);
         let decision_histograms: Vec<_> = s
             .histograms
             .iter()
